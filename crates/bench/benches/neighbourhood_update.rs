@@ -1,15 +1,11 @@
 //! Neighbourhood-update workload (DESIGN.md §"The neighbourhood broadcast
 //! update"): the plane-sliced window trainer — one broadcast Bernoulli mask
 //! stream applied to the whole neighbourhood address window on the packed
-//! columns — versus the retained per-neuron word-parallel path, on the
-//! paper's 40-neuron × 768-bit configuration across neighbourhood radii.
-//!
-//! This is the acceptance micro-benchmark of the plane-sliced trainer: the
-//! window path must sustain **≥ 2x** the per-neuron path's steps/s at
-//! radius ≥ 2 (the gap grows with the radius, because the per-neuron path's
-//! RNG cost is per neuron per word while the window path's is per word).
+//! columns — on the paper's 40-neuron × 768-bit configuration across
+//! neighbourhood radii. The window path's RNG cost is per word, not per
+//! neuron, so steps/s should fall far slower than the window widens.
 //! `bench_report` records the radius-4 figure in `BENCH_train.json` and the
-//! `--check` gate holds the ratio.
+//! `--check` gate holds it.
 
 use bsom_bench::bench_dataset;
 use bsom_som::{BSom, BSomConfig, NeighbourhoodSchedule, TrainSchedule};
@@ -36,20 +32,6 @@ fn neighbourhood_update(c: &mut Criterion) {
     for radius in [1usize, 2, 4] {
         let schedule = TrainSchedule::new(usize::MAX)
             .with_neighbourhood(NeighbourhoodSchedule::Constant { radius });
-
-        // The PR 3/4 baseline: word-parallel within a neuron, but the
-        // neighbourhood neurons visited one at a time, re-drawing Bernoulli
-        // mask words per neuron.
-        group.bench_function(format!("per_neuron_epoch_r{radius}"), |b| {
-            let mut som = fresh();
-            let mut t = 0usize;
-            b.iter(|| {
-                for s in &signatures {
-                    black_box(som.train_step_per_neuron(s, t, &schedule).unwrap());
-                }
-                t += 1;
-            })
-        });
 
         // The plane-sliced window path: one broadcast mask stream per step,
         // applied to the neighbourhood's run of packed column words.

@@ -6,6 +6,7 @@
 
 use bsom_bench::bench_dataset;
 use bsom_engine::{EngineConfig, SomService};
+use bsom_som::reference::train_step_bit_serial;
 use bsom_som::{BSom, BSomConfig, ObjectLabel, SelfOrganizingMap, TrainSchedule};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -26,14 +27,14 @@ fn train_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_throughput");
     group.throughput(Throughput::Elements(signatures.len() as u64));
 
-    // The baseline the tentpole replaces: one trit visit + one scalar coin
-    // per weight bit, 768 bits x up to 9 neighbourhood neurons per step.
+    // The bit-serial reference: one trit visit + one scalar coin per weight
+    // bit, 768 bits x up to 9 neighbourhood neurons per step.
     group.bench_function("bit_serial_epoch", |b| {
         let mut som = fresh();
         let mut t = 0usize;
         b.iter(|| {
             for s in &signatures {
-                black_box(som.train_step_bit_serial(s, t, &schedule).unwrap());
+                black_box(train_step_bit_serial(&mut som, s, t, &schedule).unwrap());
             }
             t += 1;
         })
@@ -42,8 +43,8 @@ fn train_throughput(c: &mut Criterion) {
     // The production path: Bernoulli mask words + the three-bitwise-op
     // update kernel, applied to the whole neighbourhood window on the
     // packed columns under one broadcast mask stream (see
-    // `neighbourhood_update.rs` for the window-vs-per-neuron comparison),
-    // with incrementally maintained #-counts in the winner search.
+    // `neighbourhood_update.rs` for the radius sweep), with incrementally
+    // maintained #-counts in the winner search.
     group.bench_function("word_parallel_epoch", |b| {
         let mut som = fresh();
         let mut t = 0usize;

@@ -1,12 +1,12 @@
 //! Machine-readable performance tracking for the hot paths.
 //!
-//! Writes `BENCH_train.json` (training steps/s across the three datapaths —
-//! bit-serial, per-neuron word-parallel, plane-sliced window — plus the
-//! speedup ratios), `BENCH_recognition.json` (signatures/s, scalar vs
+//! Writes `BENCH_train.json` (training steps/s of the bit-serial reference
+//! and the plane-sliced window datapath, plus their speedup ratio),
+//! `BENCH_recognition.json` (signatures/s, scalar vs
 //! batched vs engine, speedups, FPGA cycle-model comparison, and the
 //! per-dispatch distance-pass figures for every SIMD lowering the machine
 //! can run) and
-//! `BENCH_large_map.json` (copy-on-write publish cadence, tournament
+//! `BENCH_large_map.json` (copy-on-write publish cadence, linear
 //! winner-search throughput and crash-safe checkpoint write/restore
 //! throughput at the 1024-neuron × 768-bit scale target) and
 //! `BENCH_serve.json` (the TCP serving front-end: wire throughput vs
@@ -77,14 +77,11 @@ struct TrainBenchReport {
     mode: String,
     /// Seconds of wall clock spent per measured path.
     min_duration_seconds: f64,
-    /// The raw three-path comparison (steps/s each way) at the paper's
+    /// The raw two-path comparison (steps/s each way) at the paper's
     /// maximum neighbourhood radius.
     comparison: TrainThroughputComparison,
     /// Production (window) steps/s over bit-serial steps/s.
     speedup_window_over_bit_serial: f64,
-    /// Window steps/s over the per-neuron word-parallel path — the
-    /// neighbourhood-broadcast acceptance ratio (floor 2x at radius ≥ 2).
-    speedup_window_over_per_neuron: f64,
 }
 
 /// The `BENCH_recognition.json` document.
@@ -111,21 +108,18 @@ struct RecognitionBenchReport {
 
 /// The `BENCH_large_map.json` document: the 1024-neuron × 768-bit shape the
 /// ROADMAP scales to, gating the copy-on-write publish cost and the
-/// tournament winner-search throughput.
+/// winner-search throughput.
 #[derive(Debug, Serialize, Deserialize)]
 struct LargeMapBenchReport {
     /// `"smoke"` or `"full"`.
     mode: String,
     /// Seconds of wall clock spent per measured path.
     min_duration_seconds: f64,
-    /// Publish (CoW vs deep re-pack) and search (tournament vs linear)
-    /// costs at the large-map shape.
+    /// Publish (CoW vs deep re-pack) and search costs at the large-map
+    /// shape.
     comparison: LargeMapThroughputComparison,
     /// Train-step-plus-CoW-publish cadence over a deep re-pack.
     publish_speedup_over_repack: f64,
-    /// Tournament over linear-scan search throughput (≈ 1.0: both share the
-    /// dominating distance pass).
-    tournament_vs_linear_search: f64,
     /// Crash-safe checkpoint commit and restore throughput at the same
     /// shape — the durability cost model (frame + fsync + atomic rename on
     /// the write side, decode + validate + service re-spawn on the restore
@@ -259,6 +253,32 @@ fn resolve_baseline(
         })
         .cloned()
         .unwrap_or_else(|| baseline_dir.join(default_name))
+}
+
+/// Where the committed baselines live, and which files `--check` read.
+struct Baselines<'a> {
+    dir: &'a Path,
+    overrides: &'a [PathBuf],
+    checked_paths: Vec<String>,
+}
+
+impl Baselines<'_> {
+    /// Pairs a freshly measured report with its committed baseline (see
+    /// [`resolve_baseline`]); `None` when the report was not measured.
+    fn pair<'r, T: Deserialize>(
+        &mut self,
+        fresh: &'r Option<T>,
+        key: &str,
+        default_name: &str,
+    ) -> Result<Option<(&'r T, T)>, String> {
+        let Some(fresh) = fresh else {
+            return Ok(None);
+        };
+        let path = resolve_baseline(self.dir, self.overrides, key, default_name);
+        let baseline = load_baseline(&path)?;
+        self.checked_paths.push(path.display().to_string());
+        Ok(Some((fresh, baseline)))
+    }
 }
 
 fn main() -> ExitCode {
@@ -395,7 +415,7 @@ fn main() -> ExitCode {
         None
     };
 
-    // --- Training: bit-serial vs word-parallel on the paper configuration.
+    // --- Training: bit-serial vs window on the paper configuration.
     let train_report = dataset.as_ref().filter(|_| selection.train).map(|dataset| {
         println!("bench_report: measuring training throughput ({mode})...");
         let train = compare_training_throughput(
@@ -409,7 +429,6 @@ fn main() -> ExitCode {
             mode: mode.to_string(),
             min_duration_seconds: min_duration.as_secs_f64(),
             speedup_window_over_bit_serial: train.speedup(),
-            speedup_window_over_per_neuron: train.window_speedup(),
             comparison: train,
         }
     });
@@ -462,7 +481,7 @@ fn main() -> ExitCode {
             }
         });
 
-    // --- Large map: CoW publish + tournament search at 1024 x 768.
+    // --- Large map: CoW publish + winner search at 1024 x 768.
     let large_report = dataset.as_ref().filter(|_| selection.large).map(|dataset| {
         println!("bench_report: measuring large-map publish/search costs ({mode})...");
         let large_signatures: Vec<_> = dataset
@@ -491,7 +510,6 @@ fn main() -> ExitCode {
             mode: mode.to_string(),
             min_duration_seconds: min_duration.as_secs_f64(),
             publish_speedup_over_repack: large.publish_speedup_over_repack(),
-            tournament_vs_linear_search: large.tournament_vs_linear(),
             comparison: large,
             checkpoint,
         }
@@ -542,107 +560,28 @@ fn main() -> ExitCode {
     // --- Regression gate against the committed baselines.
     if check {
         let mut figures: Vec<CheckedFigure> = Vec::new();
-        let mut checked_paths: Vec<String> = Vec::new();
-        let train_pair = match &train_report {
-            Some(fresh) => {
-                let path = resolve_baseline(
-                    &baseline_dir,
-                    &baseline_overrides,
-                    "train",
-                    "BENCH_train.json",
-                );
-                let baseline: TrainBenchReport = match load_baseline(&path) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        eprintln!("bench_report: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                checked_paths.push(path.display().to_string());
-                Some((fresh, baseline))
-            }
-            None => None,
+        let mut baselines = Baselines {
+            dir: &baseline_dir,
+            overrides: &baseline_overrides,
+            checked_paths: Vec::new(),
         };
-        let recognition_pair = match &recognition_report {
-            Some(fresh) => {
-                let path = resolve_baseline(
-                    &baseline_dir,
-                    &baseline_overrides,
-                    "recognition",
-                    "BENCH_recognition.json",
-                );
-                let baseline: RecognitionBenchReport = match load_baseline(&path) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        eprintln!("bench_report: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                checked_paths.push(path.display().to_string());
-                Some((fresh, baseline))
+        let loaded = (|| {
+            Ok::<_, String>((
+                baselines.pair(&train_report, "train", "BENCH_train.json")?,
+                baselines.pair(&recognition_report, "recognition", "BENCH_recognition.json")?,
+                baselines.pair(&large_report, "large", "BENCH_large_map.json")?,
+                baselines.pair(&serve_report, "serve", "BENCH_serve.json")?,
+                baselines.pair(&registry_report, "registry", "BENCH_registry.json")?,
+            ))
+        })();
+        let (train_pair, recognition_pair, large_pair, serve_pair, registry_pair) = match loaded {
+            Ok(pairs) => pairs,
+            Err(error) => {
+                eprintln!("bench_report: {error}");
+                return ExitCode::FAILURE;
             }
-            None => None,
         };
-        let large_pair = match &large_report {
-            Some(fresh) => {
-                let path = resolve_baseline(
-                    &baseline_dir,
-                    &baseline_overrides,
-                    "large",
-                    "BENCH_large_map.json",
-                );
-                let baseline: LargeMapBenchReport = match load_baseline(&path) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        eprintln!("bench_report: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                checked_paths.push(path.display().to_string());
-                Some((fresh, baseline))
-            }
-            None => None,
-        };
-        let serve_pair = match &serve_report {
-            Some(fresh) => {
-                let path = resolve_baseline(
-                    &baseline_dir,
-                    &baseline_overrides,
-                    "serve",
-                    "BENCH_serve.json",
-                );
-                let baseline: ServeBenchDocument = match load_baseline(&path) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        eprintln!("bench_report: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                checked_paths.push(path.display().to_string());
-                Some((fresh, baseline))
-            }
-            None => None,
-        };
-        let registry_pair = match &registry_report {
-            Some(fresh) => {
-                let path = resolve_baseline(
-                    &baseline_dir,
-                    &baseline_overrides,
-                    "registry",
-                    "BENCH_registry.json",
-                );
-                let baseline: RegistryBenchReport = match load_baseline(&path) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        eprintln!("bench_report: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                checked_paths.push(path.display().to_string());
-                Some((fresh, baseline))
-            }
-            None => None,
-        };
+        let checked_paths = baselines.checked_paths;
         println!(
             "bench_report: checking against {} (noise band ±{:.0}%)...",
             checked_paths.join(", "),
@@ -656,11 +595,6 @@ fn main() -> ExitCode {
                     fresh: train_report.comparison.bit_serial.patterns_per_second,
                 },
                 CheckedFigure {
-                    name: "train.per_neuron steps/s",
-                    baseline: train_baseline.comparison.per_neuron.patterns_per_second,
-                    fresh: train_report.comparison.per_neuron.patterns_per_second,
-                },
-                CheckedFigure {
                     name: "train.window steps/s",
                     baseline: train_baseline.comparison.window.patterns_per_second,
                     fresh: train_report.comparison.window.patterns_per_second,
@@ -672,11 +606,6 @@ fn main() -> ExitCode {
                     name: "train.window/bit_serial speedup",
                     baseline: train_baseline.speedup_window_over_bit_serial,
                     fresh: train_report.speedup_window_over_bit_serial,
-                },
-                CheckedFigure {
-                    name: "train.window/per_neuron speedup",
-                    baseline: train_baseline.speedup_window_over_per_neuron,
-                    fresh: train_report.speedup_window_over_per_neuron,
                 },
             ]);
         }
@@ -727,7 +656,7 @@ fn main() -> ExitCode {
         if let Some((large_report, large_baseline)) = &large_pair {
             figures.extend([
                 // The 1024-neuron scale gates: copy-on-write publish cadence
-                // under training and tournament winner-search throughput.
+                // under training and winner-search throughput.
                 CheckedFigure {
                     name: "large_map.publish publishes/s",
                     baseline: large_baseline
@@ -740,25 +669,14 @@ fn main() -> ExitCode {
                         .patterns_per_second,
                 },
                 CheckedFigure {
-                    name: "large_map.tournament searches/s",
-                    baseline: large_baseline
-                        .comparison
-                        .tournament_search
-                        .patterns_per_second,
-                    fresh: large_report
-                        .comparison
-                        .tournament_search
-                        .patterns_per_second,
+                    name: "large_map.linear searches/s",
+                    baseline: large_baseline.comparison.linear_search.patterns_per_second,
+                    fresh: large_report.comparison.linear_search.patterns_per_second,
                 },
                 CheckedFigure {
                     name: "large_map.publish/repack speedup",
                     baseline: large_baseline.publish_speedup_over_repack,
                     fresh: large_report.publish_speedup_over_repack,
-                },
-                CheckedFigure {
-                    name: "large_map.tournament/linear speedup",
-                    baseline: large_baseline.tournament_vs_linear_search,
-                    fresh: large_report.tournament_vs_linear_search,
                 },
                 // Durability costs: a regression here means checkpointing became
                 // expensive enough to change how often a deployment can afford

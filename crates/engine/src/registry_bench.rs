@@ -1,6 +1,7 @@
 //! Multi-tenant facade cost model: what [`MapRegistry`] charges per
-//! training step and per classify next to a bare [`Trainer`], plus the
-//! spill round-trip rate the LRU evictor can sustain.
+//! training step and per classify next to a bare
+//! [`Trainer`](crate::Trainer), plus the spill round-trip rate the LRU
+//! evictor can sustain.
 //!
 //! The paper's "millions of users" framing turns into thousands of small
 //! per-user maps behind one facade; the figures here keep that facade

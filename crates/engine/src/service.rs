@@ -8,12 +8,12 @@
 //! over it.
 //!
 //! * A [`Trainer`] feeds labelled signatures through the word-parallel bSOM
-//!   trainer. Because [`BSom`] maintains its plane-sliced [`PackedLayer`]
-//!   incrementally on every weight write, publishing a new serving snapshot
+//!   trainer. Because [`BSom`] stores its weights in a plane-sliced
+//!   [`PackedLayer`] and writes it in place, publishing a new serving snapshot
 //!   is a copy-on-write clone of that layout — word rows untouched since the
 //!   last publish are shared, not copied, so the cost is O(rows touched)
 //!   even at 1000+ neurons — plus an atomic pointer swap; no re-pack, no
-//!   pause (DESIGN.md §"Copy-on-write publication and the tournament WTA").
+//!   pause (DESIGN.md §"Copy-on-write publication and the linear WTA").
 //!   Publication happens on epoch boundaries
 //!   ([`Trainer::train_epochs`], [`Trainer::advance_epoch`]), on a step-count
 //!   cadence ([`EngineConfig::publish_every_steps`]), or explicitly
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bsom_signature::{BinaryVector, RgbImage, TriStateVector};
+use bsom_signature::{BinaryVector, RgbImage};
 use bsom_som::{
     BSom, BatchWinner, LabelledSom, ObjectLabel, PackedLayer, Prediction, SelfOrganizingMap,
     SomError, TrainSchedule, Winner,
@@ -1129,8 +1129,8 @@ impl SomService {
     }
 
     /// Classifies a batch against one **pinned** snapshot (no refresh) —
-    /// the frozen-serving path used by the legacy `RecognitionEngine`
-    /// wrapper and by A/B comparisons across versions.
+    /// the frozen-serving path of A/B comparisons across versions and of
+    /// the registry's per-tenant classify.
     pub fn classify_pinned(
         &self,
         snapshot: &SomSnapshot,
@@ -1311,14 +1311,7 @@ impl Trainer {
     /// map (cannot happen for layers produced by a trainer, which are never
     /// empty).
     pub fn reset_from_snapshot(&mut self) -> Result<(), EngineError> {
-        let snapshot = self.core.snapshot();
-        let layer = snapshot.layer();
-        let mut weights = Vec::with_capacity(layer.neuron_count());
-        for index in 0..layer.neuron_count() {
-            let mut weight = TriStateVector::all_dont_care(layer.vector_len());
-            layer.copy_neuron_into(index, &mut weight);
-            weights.push(weight);
-        }
+        let weights = self.core.snapshot().layer().neurons();
         // `from_weights` resets the update probabilities and neighbour rule
         // to the defaults; re-apply the map's own configuration.
         let config = *self.som.config();

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use bsom_engine::{EngineConfig, SomService};
+use bsom_engine::{CheckpointError, EngineConfig, SomService};
 use bsom_signature::BinaryVector;
 use bsom_som::{BSom, BSomConfig, ObjectLabel, TrainSchedule};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn scratch_path() -> PathBuf {
 /// Writes `bytes` to a scratch file and attempts a resume; hands back the
 /// result and cleans the file up. Panics inside `resume_from_checkpoint`
 /// propagate and fail the proptest case — that is the point.
-fn resume_bytes(bytes: &[u8]) -> Result<(), bsom_engine::CheckpointError> {
+fn resume_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
     let path = scratch_path();
     std::fs::write(&path, bytes).unwrap();
     let outcome = SomService::resume_from_checkpoint(&path).map(drop);
@@ -123,4 +123,54 @@ proptest! {
 #[test]
 fn the_pristine_frame_loads() {
     resume_bytes(pristine_frame()).expect("the uncorrupted frame must load");
+}
+
+/// Re-frames a payload the way the writer does (8-byte magic, u32 format,
+/// u64 length, payload, FNV-1a-64 over everything before it), so the
+/// checksum is valid for whatever the payload says.
+fn reframe(header: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut frame = header[..12].to_vec();
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let checksum = frame.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame
+}
+
+/// Rewrites the word list of the first `"plane":{"words":[...]` in `json`.
+fn tamper_plane(json: &str, plane: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+    let key = format!("\"{plane}\":{{\"words\":[");
+    let start = json.find(&key).expect("payload holds the plane") + key.len();
+    let end = start + json[start..].find(']').expect("word list is closed");
+    let mut words: Vec<String> = json[start..end].split(',').map(str::to_owned).collect();
+    edit(&mut words);
+    format!("{}{}{}", &json[..start], words.join(","), &json[end..])
+}
+
+/// Checksums only catch accidental corruption: a frame whose checksum is
+/// valid but whose payload carries tri-state planes no constructor would
+/// build must still be a typed error, never a panic or a loaded map.
+#[test]
+fn checksum_valid_frames_with_tampered_planes_are_typed_errors() {
+    let frame = pristine_frame();
+    let payload = std::str::from_utf8(&frame[20..frame.len() - 8]).unwrap();
+    let tampered = [
+        // A third word for a 72-bit plane (two words needed).
+        tamper_plane(payload, "value", |words| words.push("0".into())),
+        // A clear first care word under the random concrete value bits:
+        // value bits outside the care plane.
+        tamper_plane(payload, "care", |words| words[0] = "0".into()),
+        // Bit 72 of the care plane, beyond the length.
+        tamper_plane(payload, "care", |words| words[1] = "256".into()),
+    ];
+    for bad in &tampered {
+        assert_ne!(bad, payload, "fixture must tamper the payload");
+        let outcome = resume_bytes(&reframe(frame, bad.as_bytes()));
+        assert!(
+            matches!(outcome, Err(CheckpointError::Invalid { .. })),
+            "tampered planes must be CheckpointError::Invalid, got {outcome:?}"
+        );
+    }
 }

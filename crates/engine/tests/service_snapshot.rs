@@ -3,9 +3,10 @@
 //! Two properties are pinned down:
 //!
 //! 1. **Frozen equivalence** — a [`Recognizer`] holding snapshot `v_N`
-//!    returns bit-identical predictions to a frozen legacy
-//!    `RecognitionEngine` built from the same `v_N` map (from-scratch
-//!    [`PackedLayer::pack`] + the snapshot's labels and threshold), i.e. the
+//!    returns bit-identical predictions to a frozen serve-only service
+//!    ([`SomService::from_parts`]) built from the same `v_N` map
+//!    (from-scratch [`PackedLayer::pack`] + the snapshot's labels and
+//!    threshold), i.e. the
 //!    incremental layout, the snapshot plumbing and the sharded pool add no
 //!    observable behaviour.
 //! 2. **No torn layers** — with a trainer publishing concurrently while
@@ -96,14 +97,13 @@ proptest! {
         // the labels/threshold the snapshot was published with.
         let snapshot = service.snapshot();
         prop_assert_eq!(snapshot.layer(), &PackedLayer::pack(trainer.som()));
-        #[allow(deprecated)]
-        let frozen = bsom_engine::RecognitionEngine::from_parts(
+        let frozen = SomService::from_parts(
             PackedLayer::pack(trainer.som()),
             snapshot.neuron_labels().to_vec(),
             snapshot.unknown_threshold(),
             2,
         );
-        let oracle = frozen.classify_batch(&probes);
+        let oracle = frozen.recognizer().classify_batch(&probes);
         prop_assert_eq!(live, oracle);
         assert_layer_consistent(snapshot.layer());
     }

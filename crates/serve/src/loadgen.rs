@@ -159,6 +159,14 @@ impl ArrivalRng {
         ArrivalRng { state: seed | 1 }
     }
 
+    /// Connection `connection`'s stream for run seed `seed`. Both go
+    /// through splitmix64 (a bijection), so no two connections of a run
+    /// start from the same state; plain `seed + connection` would, because
+    /// `| 1` folds each even state onto the odd one above it.
+    fn for_connection(seed: u64, connection: u64) -> Self {
+        ArrivalRng::seeded(splitmix64(splitmix64(seed) ^ connection))
+    }
+
     fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
@@ -174,6 +182,14 @@ impl ArrivalRng {
         let seconds = -(1.0 - uniform).ln() / rate_per_second;
         Duration::from_secs_f64(seconds.min(10.0))
     }
+}
+
+/// splitmix64's finalizer: one well-mixed output per input.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Pre-encoded classify frames cycled by one connection.
@@ -214,7 +230,7 @@ fn run_open_connection(
 ) -> Result<ConnOutcome, ClientError> {
     let frames = build_frames(config, connection);
     let (mut send, mut recv) = ServeClient::connect(config.addr)?.split();
-    let mut arrivals = ArrivalRng::seeded(config.seed.wrapping_add(connection as u64 + 1));
+    let mut arrivals = ArrivalRng::for_connection(config.seed, connection as u64);
     let warmup_end = start + config.warmup;
     let end = warmup_end + config.duration;
 
@@ -423,6 +439,25 @@ mod tests {
             total < Duration::from_millis(1024),
             "draws exploded: {total:?}"
         );
+    }
+
+    #[test]
+    fn connections_draw_distinct_arrival_streams() {
+        for seed in 0..64u64 {
+            let firsts: Vec<[u64; 4]> = (0..4)
+                .map(|conn| {
+                    let mut rng = ArrivalRng::for_connection(seed, conn);
+                    std::array::from_fn(|_| rng.next_u64())
+                })
+                .collect();
+            for (a, first_a) in firsts.iter().enumerate() {
+                for (b, first_b) in firsts.iter().enumerate().skip(a + 1) {
+                    for (k, (x, y)) in first_a.iter().zip(first_b).enumerate() {
+                        assert_ne!(x, y, "seed {seed}: connections {a} and {b} share draw {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

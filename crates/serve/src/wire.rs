@@ -806,7 +806,7 @@ fn seal_frame(format: u32, kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// Encodes `message` into one complete frame (header + payload + checksum).
 /// The frame is stamped format 1 unless the message needs tenant addressing
-/// (see [`encode_payload`]).
+/// (see `encode_payload`).
 pub fn encode_message(message: &WireMessage) -> Vec<u8> {
     let (kind, payload, format) = encode_payload(message);
     seal_frame(format, kind, &payload)

@@ -1,19 +1,14 @@
-//! Integer-threshold Bernoulli coins and bit-sliced Bernoulli mask words.
+//! Bit-sliced Bernoulli mask words.
 //!
 //! The bSOM's stochastic update rule damps every weight change with a coin
-//! flip — in hardware one AND against an LFSR bit stream. The original
-//! software port paid **one RNG advance plus an `f64` multiply/divide per
-//! bit**; this module removes both costs:
-//!
-//! * [`CoinThreshold`] turns a probability into a precomputed 64-bit integer
-//!   threshold once, so each remaining scalar coin is a single xorshift64*
-//!   advance and an integer comparison — no floating point in the hot loop.
-//! * [`MaskPlan`] generates *whole 64-bit Bernoulli mask words*: 64
-//!   independent coin flips per draw sequence. For dyadic probabilities
-//!   (1/2, 1/4, 3/4, …) one or two RNG draws yield all 64 flips; arbitrary
-//!   probabilities use a **bit-slicing ladder** over the binary expansion of
-//!   `p` (truncated at [`MASK_DEPTH`] digits), so the amortised cost is at
-//!   most `MASK_DEPTH / 64` draws per flip instead of one draw per flip.
+//! flip — in hardware one AND against an LFSR bit stream. Paying one RNG
+//! advance per bit would dominate the update, so [`MaskPlan`] generates
+//! *whole 64-bit Bernoulli mask words* instead: 64 independent coin flips
+//! per draw sequence. For dyadic probabilities (1/2, 1/4, 3/4, …) one or two
+//! RNG draws yield all 64 flips; arbitrary probabilities use a
+//! **bit-slicing ladder** over the binary expansion of `p` (truncated at
+//! [`MASK_DEPTH`] digits), so the amortised cost is at most
+//! `MASK_DEPTH / 64` draws per flip instead of one draw per flip.
 //!
 //! ## The bit-slicing ladder
 //!
@@ -78,9 +73,9 @@
 /// `7.7e-6` — far under anything observable in a SOM training run (the
 /// update probabilities damp convergence speed, they are not decision
 /// boundaries) — while capping the ladder at 16 draws per 64 flips (0.25
-/// draws per flip worst case, usually far fewer). The scalar
-/// [`CoinThreshold`] path keeps full 64-bit resolution; only whole-word
-/// masks are quantised.
+/// draws per flip worst case, usually far fewer). The bit-serial reference
+/// trainer's scalar coins (`bsom_som::reference`) keep full 64-bit
+/// resolution; only whole-word masks are quantised.
 pub const MASK_DEPTH: u32 = 16;
 
 /// Advances an xorshift64* state and returns the next scrambled 64-bit word.
@@ -97,82 +92,6 @@ pub fn next_word(state: &mut u64) -> u64 {
     x ^= x >> 27;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// A precomputed integer acceptance threshold for a Bernoulli(p) coin.
-///
-/// `Below(t)` accepts when the next RNG word is `< t`, i.e. with probability
-/// `t / 2⁶⁴`. The degenerate probabilities 0 and 1 are their own variants
-/// and — deliberately — **do not advance the RNG state**, matching the
-/// behaviour of the whole-word [`MaskPlan`] path so the two stay
-/// bit-identical for p ∈ {0, 1}.
-///
-/// # Examples
-///
-/// ```rust
-/// use bsom_signature::bernoulli::CoinThreshold;
-///
-/// let mut state = 0x1234_5678_9ABC_DEF1_u64;
-/// let coin = CoinThreshold::from_probability(0.3);
-/// let mut heads = 0usize;
-/// for _ in 0..10_000 {
-///     if coin.flip(&mut state) {
-///         heads += 1;
-///     }
-/// }
-/// // Binomial(10_000, 0.3): far outside [2600, 3400] is astronomically unlikely.
-/// assert!(heads > 2600 && heads < 3400);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoinThreshold {
-    /// Probability 0: never accepts, never consumes randomness.
-    Never,
-    /// Probability 1: always accepts, never consumes randomness.
-    Always,
-    /// Accepts when the next RNG word compares below the threshold.
-    Below(u64),
-}
-
-impl CoinThreshold {
-    /// Builds the threshold for probability `p`, clamping to `[0, 1]`.
-    ///
-    /// Probabilities below 2⁻⁶⁴ collapse to [`CoinThreshold::Never`] — they
-    /// are beneath the resolution of a 64-bit comparison anyway.
-    pub fn from_probability(p: f64) -> Self {
-        if p <= 0.0 {
-            return CoinThreshold::Never;
-        }
-        if p >= 1.0 {
-            return CoinThreshold::Always;
-        }
-        // 2^64 as f64; the cast saturates, and p < 1 keeps it below u64::MAX.
-        let threshold = (p * 18_446_744_073_709_551_616.0) as u64;
-        if threshold == 0 {
-            CoinThreshold::Never
-        } else {
-            CoinThreshold::Below(threshold)
-        }
-    }
-
-    /// Flips the coin, advancing `state` only for non-degenerate
-    /// probabilities.
-    #[inline]
-    pub fn flip(self, state: &mut u64) -> bool {
-        match self {
-            CoinThreshold::Never => false,
-            CoinThreshold::Always => true,
-            CoinThreshold::Below(threshold) => next_word(state) < threshold,
-        }
-    }
-
-    /// The exact probability the threshold encodes.
-    pub fn probability(self) -> f64 {
-        match self {
-            CoinThreshold::Never => 0.0,
-            CoinThreshold::Always => 1.0,
-            CoinThreshold::Below(threshold) => threshold as f64 / 18_446_744_073_709_551_616.0,
-        }
-    }
 }
 
 /// How a [`MaskPlan`] produces its mask words.
@@ -286,22 +205,6 @@ impl MaskPlan {
             }
         }
     }
-
-    /// Draws `N` consecutive mask words — the lane-batched entry of the
-    /// wide kernels (see [`crate::lanes`]).
-    ///
-    /// Lane `k` of the result is **exactly** the `k`-th sequential
-    /// [`draw`](MaskPlan::draw): the ladder folds the same digits over the
-    /// same xorshift64* words in the same order. This is a *contract*, not
-    /// an implementation detail — the generator is a serial recurrence, so
-    /// the only stream-preserving batching is sequential word-order
-    /// drawing, and every wide lowering hoists its draws through this entry
-    /// so the RNG stream is identical under every dispatch (pinned down by
-    /// the `simd_equivalence` suite).
-    #[inline]
-    pub fn draw_lanes<const N: usize>(&self, state: &mut u64) -> [u64; N] {
-        std::array::from_fn(|_| self.draw(state))
-    }
 }
 
 /// The shared Bernoulli mask pair for one 64-bit word index of a
@@ -332,10 +235,6 @@ pub struct BroadcastMasks {
 ///   lanes where it is clear, so the applied decisions come from disjoint —
 ///   hence still independent — bits of the shared word.
 ///
-/// The per-neuron word-parallel path (`TriStateVector::stochastic_update`)
-/// and the plane-sliced window path draw through this same function, which
-/// is what keeps them bit-identical whenever neither consumes randomness
-/// (both probabilities 0 or 1).
 #[inline]
 pub fn draw_broadcast_masks(
     relax: &MaskPlan,
@@ -355,28 +254,6 @@ pub fn draw_broadcast_masks(
         relax: if needs_relax { relax.draw(state) } else { 0 },
         commit: if needs_commit { commit.draw(state) } else { 0 },
     }
-}
-
-/// Lane-batched [`draw_broadcast_masks`]: the mask pairs for `N`
-/// consecutive word indices, given each word's (relax, commit) needs.
-///
-/// Word `k` draws exactly as the `k`-th sequential [`draw_broadcast_masks`]
-/// call would — same shared-draw coalescing, same skip rules, same
-/// word-order xorshift64* consumption — so a kernel that hoists `N` word
-/// draws out of its wide loop consumes a stream identical to the
-/// word-at-a-time walk (the RNG-stream identity the `simd_equivalence`
-/// suite asserts across full train runs).
-#[inline]
-pub fn draw_broadcast_masks_lanes<const N: usize>(
-    relax: &MaskPlan,
-    commit: &MaskPlan,
-    needs_relax: &[bool; N],
-    needs_commit: &[bool; N],
-    state: &mut u64,
-) -> [BroadcastMasks; N] {
-    std::array::from_fn(|k| {
-        draw_broadcast_masks(relax, commit, needs_relax[k], needs_commit[k], state)
-    })
 }
 
 /// The per-neuron gate of the broadcast update: all-ones for a neuron that
@@ -409,39 +286,6 @@ mod tests {
         // Deterministic for a fixed seed.
         let mut again = 1u64;
         assert_eq!(next_word(&mut again), a);
-    }
-
-    #[test]
-    fn coin_threshold_degenerate_probabilities_do_not_touch_state() {
-        let mut state = 42u64;
-        assert!(!CoinThreshold::from_probability(0.0).flip(&mut state));
-        assert!(CoinThreshold::from_probability(1.0).flip(&mut state));
-        assert!(!CoinThreshold::from_probability(-3.0).flip(&mut state));
-        assert!(CoinThreshold::from_probability(2.0).flip(&mut state));
-        assert_eq!(state, 42, "p in {{0, 1}} must not consume randomness");
-    }
-
-    #[test]
-    fn coin_threshold_probability_roundtrip() {
-        assert_eq!(CoinThreshold::from_probability(0.0).probability(), 0.0);
-        assert_eq!(CoinThreshold::from_probability(1.0).probability(), 1.0);
-        let p = CoinThreshold::from_probability(0.3).probability();
-        assert!((p - 0.3).abs() < 1e-12, "got {p}");
-    }
-
-    #[test]
-    fn coin_threshold_statistics() {
-        let mut state = 0xDEAD_BEEF_u64;
-        for p in [0.1, 0.3, 0.5, 0.9] {
-            let coin = CoinThreshold::from_probability(p);
-            let heads = (0..20_000).filter(|_| coin.flip(&mut state)).count();
-            let expected = 20_000.0 * p;
-            // ±6 sigma on Binomial(20_000, p); sigma < 71 for every p here.
-            assert!(
-                (heads as f64 - expected).abs() < 6.0 * 71.0,
-                "p = {p}: {heads} heads"
-            );
-        }
     }
 
     #[test]

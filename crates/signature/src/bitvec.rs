@@ -35,7 +35,7 @@ const WORD_BITS: usize = 64;
 /// let w = BinaryVector::from_bits([true, false, false, true, false, false, false, true]);
 /// assert_eq!(v.hamming(&w).unwrap(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct BinaryVector {
     /// Packed words, least-significant bit first within each word.
     words: Vec<u64>,
@@ -267,14 +267,6 @@ impl BinaryVector {
         Ok(BinaryVector { words, len })
     }
 
-    /// Mutable access to the packed words for the in-crate word-parallel
-    /// update kernels. Callers must keep every bit beyond `len` zero — the
-    /// invariant [`as_words`](Self::as_words) documents; `crate`-private so
-    /// the invariant stays enforceable inside this crate.
-    pub(crate) fn as_mut_words(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Clears any bits beyond `len` in the last word, maintaining the
     /// invariant required by [`count_ones`](Self::count_ones).
     fn mask_tail(&mut self) {
@@ -311,6 +303,25 @@ impl BinaryVector {
         };
         out.mask_tail();
         out
+    }
+}
+
+/// The wire shape of a [`BinaryVector`], decoded without invariants.
+#[derive(Deserialize)]
+struct RawBinaryVector {
+    words: Vec<u64>,
+    len: usize,
+}
+
+// Decoding goes through `from_words`, so a decoded vector satisfies the
+// packing invariant every kernel indexes by (word count, clean tail).
+// Written against the vendored serde stand-in's `from_value` trait; with
+// registry serde this is `#[serde(try_from = "RawBinaryVector")]`.
+impl Deserialize for BinaryVector {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let raw = RawBinaryVector::from_value(value)?;
+        BinaryVector::from_words(raw.words, raw.len)
+            .map_err(|error| serde::Error::custom(error.to_string()))
     }
 }
 
@@ -599,5 +610,18 @@ mod tests {
         let json = serde_json::to_string(&v).unwrap();
         let back: BinaryVector = serde_json::from_str(&json).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn decode_rejects_bad_packing() {
+        let good = r#"{"words":[0,1],"len":70}"#;
+        assert!(serde_json::from_str::<BinaryVector>(good).is_ok());
+        for bad in [
+            r#"{"words":[0,1,0],"len":70}"#, // one word too many
+            r#"{"words":[0],"len":70}"#,     // one word too few
+            r#"{"words":[0,64],"len":70}"#,  // bit 70 set, beyond len
+        ] {
+            assert!(serde_json::from_str::<BinaryVector>(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -43,6 +43,14 @@ pub enum SignatureError {
         /// Claimed bit length.
         len: usize,
     },
+    /// A tri-state vector's bit-planes disagree: different lengths, or a
+    /// value bit set where the care bit is clear.
+    InvalidPlanes {
+        /// Length of the value plane.
+        value_len: usize,
+        /// Length of the care plane.
+        care_len: usize,
+    },
 }
 
 impl fmt::Display for SignatureError {
@@ -69,6 +77,17 @@ impl fmt::Display for SignatureError {
                 f,
                 "packed buffer of {words} words is invalid for a {len}-bit vector"
             ),
+            SignatureError::InvalidPlanes {
+                value_len,
+                care_len,
+            } if value_len != care_len => write!(
+                f,
+                "value plane of {value_len} bits does not match care plane of {care_len} bits"
+            ),
+            SignatureError::InvalidPlanes { value_len, .. } => write!(
+                f,
+                "value bits set outside the care plane of a {value_len}-trit vector"
+            ),
         }
     }
 }
@@ -91,6 +110,14 @@ mod tests {
             },
             SignatureError::EmptyHistogram,
             SignatureError::InvalidPacking { words: 2, len: 80 },
+            SignatureError::InvalidPlanes {
+                value_len: 8,
+                care_len: 9,
+            },
+            SignatureError::InvalidPlanes {
+                value_len: 8,
+                care_len: 8,
+            },
         ];
         for e in errors {
             let text = e.to_string();

@@ -50,9 +50,10 @@
 //! Forcing never changes results: every lowering is bit-identical to the
 //! scalar reference (enforced by debug shadow-checks in the public kernels
 //! and by the `simd_equivalence` differential suite), and no lowering ever
-//! touches the RNG — mask drawing stays word-sequential by contract (see
-//! [`MaskPlan::draw_lanes`](crate::bernoulli::MaskPlan::draw_lanes)), so the
-//! xorshift64* stream is the same under every dispatch.
+//! touches the RNG — masks are drawn word by word
+//! ([`draw_broadcast_masks`](crate::bernoulli::draw_broadcast_masks)) before
+//! any kernel runs, so the xorshift64* stream is the same under every
+//! dispatch.
 //!
 //! ```rust
 //! use bsom_signature::lanes::Dispatch;

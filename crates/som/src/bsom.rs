@@ -38,44 +38,39 @@
 //!
 //! ## The plane-sliced training datapath
 //!
-//! [`BSom::train_step`] applies the table above **64 trits × the whole
-//! neighbourhood at a time** (DESIGN.md §"The neighbourhood broadcast
-//! update"): because the neighbourhood is a contiguous run of neuron
-//! addresses, its update runs directly on the shared
-//! [`PackedLayer`] — per 64-bit word index **one** broadcast Bernoulli mask
+//! The map has **one** weight store, a [`PackedLayer`] — the software
+//! analogue of the FPGA's BlockRAM planes, which the update circuit writes
+//! and the Hamming units read (DESIGN.md §"Train-while-serve and the shared
+//! packed layout"). [`BSom::train_step`] applies the table above **64 trits
+//! × the whole neighbourhood at a time** (DESIGN.md §"The neighbourhood
+//! broadcast update"): because the neighbourhood is a contiguous run of
+//! neuron addresses, per 64-bit word index **one** broadcast Bernoulli mask
 //! pair ([`bsom_signature::draw_broadcast_masks`]) is drawn and applied to
 //! the window's run of packed column words
 //! ([`bsom_signature::update_window_word`]), with a per-neuron gate word
 //! carrying the [`NeighbourRule`], mirroring the FPGA's single update
 //! circuit broadcast to the address window. The per-neuron `#`-counts the
-//! WTA key needs are maintained incrementally from the popcount deltas of
-//! each masked write — `winner` never re-popcounts a care plane.
+//! WTA key needs live in the layer and are maintained incrementally from the
+//! popcount deltas of each masked write — `winner` never re-popcounts a care
+//! plane. [`BSom::neuron`] and [`BSom::neurons`] build owned
+//! [`TriStateVector`]s from the plane rows on demand.
 //!
-//! Two slower datapaths are retained on purpose:
-//!
-//! * [`BSom::train_step_per_neuron`] — the PR 3/4 word-parallel path that
-//!   visits neighbourhood neurons one at a time, re-drawing masks per
-//!   neuron. It is the baseline the `neighbourhood_update` bench measures
-//!   the window speedup from and one reference of the
-//!   `window_update_equivalence` proptests.
-//! * [`BSom::train_step_bit_serial`] — the original per-trit loop with one
-//!   scalar coin per bit, reference for the `word_update_equivalence`
-//!   proptests and baseline of the `train_throughput` bench.
-//!
-//! The three paths consume the shared xorshift64* state differently, so for
-//! interior probabilities they agree *in distribution*, not bit for bit;
-//! for probabilities 0 and 1 none of them consumes randomness and all three
-//! are bit-identical.
+//! [`crate::reference::train_step_bit_serial`] is the one other datapath:
+//! the per-trit loop with one scalar coin per bit, kept as the oracle of the
+//! equivalence suites. It consumes the xorshift64* state differently, so for
+//! interior probabilities the two agree *in distribution*, not bit for bit;
+//! for probabilities 0 and 1 neither consumes randomness and they are
+//! bit-identical.
 
-use bsom_signature::bernoulli::{gate_word, CoinThreshold, MaskPlan};
-use bsom_signature::{BinaryVector, TriStateVector, Trit};
+use bsom_signature::bernoulli::{gate_word, MaskPlan};
+use bsom_signature::{BinaryVector, TriStateVector};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SomError;
 use crate::packed::PackedLayer;
 use crate::schedule::TrainSchedule;
-use crate::som_trait::{line_neighbourhood, SelfOrganizingMap, Winner};
+use crate::som_trait::{SelfOrganizingMap, Winner};
 
 /// How neurons in the neighbourhood of the winner (excluding the winner
 /// itself) are updated.
@@ -170,23 +165,16 @@ impl Default for BSomConfig {
     }
 }
 
-/// Precompiled stochastic-update machinery, derived from the configured
-/// probabilities once instead of per coin flip: whole-word Bernoulli mask
-/// plans for the word-parallel trainer and integer comparison thresholds for
-/// the bit-serial reference path. Rebuilt whenever the probabilities change;
-/// never serialized (it is a pure function of the config).
+/// Whole-word Bernoulli mask plans for the configured probabilities,
+/// compiled once instead of per coin flip. Rebuilt whenever the
+/// probabilities change; never serialized (it is a pure function of the
+/// config).
 #[derive(Debug, Clone, PartialEq)]
 struct UpdateTables {
     /// Mask plan realising `relax_probability` 64 lanes at a time.
     relax_plan: MaskPlan,
     /// Mask plan realising `commit_probability` 64 lanes at a time.
     commit_plan: MaskPlan,
-    /// The draw-free probability-0 plan used for relax-only neighbours.
-    no_commit_plan: MaskPlan,
-    /// Integer coin threshold for `relax_probability` (bit-serial path).
-    relax_coin: CoinThreshold,
-    /// Integer coin threshold for `commit_probability` (bit-serial path).
-    commit_coin: CoinThreshold,
 }
 
 impl UpdateTables {
@@ -194,9 +182,6 @@ impl UpdateTables {
         UpdateTables {
             relax_plan: MaskPlan::from_probability(config.relax_probability),
             commit_plan: MaskPlan::from_probability(config.commit_probability),
-            no_commit_plan: MaskPlan::never(),
-            relax_coin: CoinThreshold::from_probability(config.relax_probability),
-            commit_coin: CoinThreshold::from_probability(config.commit_probability),
         }
     }
 }
@@ -239,43 +224,29 @@ struct WindowScratch {
 #[derive(Debug, Clone)]
 pub struct BSom {
     config: BSomConfig,
-    neurons: Vec<TriStateVector>,
     /// Internal xorshift state driving the stochastic update decisions — the
     /// software analogue of the LFSR bit stream a hardware implementation
     /// would use. Keeping it inside the map keeps `train_step` deterministic
     /// for a given construction seed.
     rng_state: u64,
-    /// Cached per-neuron `#`-counts, maintained incrementally from the
-    /// popcount delta of every masked weight write, so the `{distance,
-    /// #-count, address}` WTA key in [`BSom::winner`] (via
-    /// [`SelfOrganizingMap::winner`]) never re-popcounts a care plane.
-    /// Invariant: `dont_care_counts[i] == neurons[i].count_dont_care()`,
-    /// debug-asserted after every update.
-    dont_care_counts: Vec<u32>,
-    /// Precompiled mask plans / coin thresholds for the configured update
-    /// probabilities.
+    /// Precompiled mask plans for the configured update probabilities.
     tables: UpdateTables,
-    /// The plane-sliced layout of the same weights, maintained incrementally
-    /// on every weight write ([`PackedLayer::apply_neuron_update`]). This is
-    /// the **only** winner-search path: training-time and serve-time search
-    /// run the same word-sliced batch kernels, and publishing a serving
-    /// snapshot is a plain clone of this field instead of a re-pack.
-    /// Invariant: `packed == PackedLayer::pack(self)` word for word,
-    /// debug-asserted per touched neuron after every update.
+    /// The weights: plane-sliced rows plus per-neuron `#`-counts. Training
+    /// writes them in place, winner search reads them, and publishing a
+    /// serving snapshot is a copy-on-write clone of this field.
     packed: PackedLayer,
     /// Reusable window-update scratch (see [`WindowScratch`]).
     scratch: WindowScratch,
 }
 
 /// Equality is over the map's intrinsic state — configuration, weights and
-/// RNG state. The `#`-count cache, the update tables and the packed layer are
-/// pure functions of those fields (and are debug-asserted in sync), so
-/// comparing them would be redundant.
+/// RNG state. The update tables are a pure function of the configuration
+/// and the scratch is meaningless between steps.
 impl PartialEq for BSom {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
-            && self.neurons == other.neurons
             && self.rng_state == other.rng_state
+            && self.packed == other.packed
     }
 }
 
@@ -308,19 +279,11 @@ impl BSom {
             .map(|_| TriStateVector::random_concrete(config.vector_len, rng))
             .collect();
         let rng_state = rng.gen::<u64>() | 1;
-        // Fresh random weights are fully concrete: every cached count is 0.
-        let dont_care_counts = vec![0u32; neurons.len()];
-        let tables = UpdateTables::from_config(&config);
-        let packed = PackedLayer::from_neurons(&neurons).expect("shape checked above");
-        Ok(BSom {
+        Ok(Self::assemble(
             config,
-            neurons,
             rng_state,
-            dont_care_counts,
-            tables,
-            packed,
-            scratch: WindowScratch::default(),
-        })
+            PackedLayer::from_neurons(&neurons)?,
+        ))
     }
 
     /// Creates a bSOM from explicit weight vectors (e.g. weights exported
@@ -332,32 +295,20 @@ impl BSom {
     /// [`SomError::InputLengthMismatch`] if any weight vector's length
     /// differs from the first one's.
     pub fn from_weights(weights: Vec<TriStateVector>) -> Result<Self, SomError> {
-        let vector_len = weights.first().map(TriStateVector::len).unwrap_or(0);
-        if weights.is_empty() || vector_len == 0 {
-            return Err(SomError::EmptyConfiguration {
-                neurons: weights.len(),
-                vector_len,
-            });
-        }
-        if let Some(bad) = weights.iter().find(|w| w.len() != vector_len) {
-            return Err(SomError::InputLengthMismatch {
-                expected: vector_len,
-                actual: bad.len(),
-            });
-        }
-        let config = BSomConfig::new(weights.len(), vector_len);
-        let dont_care_counts = weights.iter().map(|w| w.count_dont_care() as u32).collect();
-        let tables = UpdateTables::from_config(&config);
-        let packed = PackedLayer::from_neurons(&weights).expect("shape checked above");
-        Ok(BSom {
+        let packed = PackedLayer::from_neurons(&weights)?;
+        let config = BSomConfig::new(packed.neuron_count(), packed.vector_len());
+        Ok(Self::assemble(config, 0x9E37_79B9_7F4A_7C15, packed))
+    }
+
+    /// Wraps a validated layer with its configuration and RNG state.
+    fn assemble(config: BSomConfig, rng_state: u64, packed: PackedLayer) -> Self {
+        BSom {
             config,
-            neurons: weights,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
-            dont_care_counts,
-            tables,
+            rng_state,
+            tables: UpdateTables::from_config(&config),
             packed,
             scratch: WindowScratch::default(),
-        })
+        }
     }
 
     /// The map's configuration.
@@ -383,27 +334,22 @@ impl BSom {
         self
     }
 
-    /// The weight vector of neuron `index`.
+    /// The weight vector of neuron `index`, built from the plane rows.
     ///
     /// # Errors
     ///
     /// Returns [`SomError::NeuronOutOfRange`] for an invalid index.
-    pub fn neuron(&self, index: usize) -> Result<&TriStateVector, SomError> {
-        self.neurons.get(index).ok_or(SomError::NeuronOutOfRange {
-            index,
-            neurons: self.neurons.len(),
-        })
+    pub fn neuron(&self, index: usize) -> Result<TriStateVector, SomError> {
+        self.packed.neuron(index)
     }
 
-    /// All neuron weight vectors in index order.
-    pub fn neurons(&self) -> &[TriStateVector] {
-        &self.neurons
+    /// All neuron weight vectors in index order, built from the plane rows.
+    pub fn neurons(&self) -> Vec<TriStateVector> {
+        self.packed.neurons()
     }
 
-    /// Replaces the weight vector of neuron `index`, keeping the cached
-    /// `#`-count in sync (weights can only be mutated through the update
-    /// rule or through this method — never patch a neuron behind the map's
-    /// back).
+    /// Replaces the weight vector of neuron `index` (weights can only be
+    /// mutated through the update rule or through this method).
     ///
     /// # Errors
     ///
@@ -411,10 +357,10 @@ impl BSom {
     /// [`SomError::InputLengthMismatch`] if the new weight's length differs
     /// from the map's vector length.
     pub fn set_neuron(&mut self, index: usize, weight: TriStateVector) -> Result<(), SomError> {
-        if index >= self.neurons.len() {
+        if index >= self.config.neurons {
             return Err(SomError::NeuronOutOfRange {
                 index,
-                neurons: self.neurons.len(),
+                neurons: self.config.neurons,
             });
         }
         if weight.len() != self.config.vector_len {
@@ -423,97 +369,44 @@ impl BSom {
                 actual: weight.len(),
             });
         }
-        let count = weight.count_dont_care() as u32;
-        self.dont_care_counts[index] = count;
-        self.packed.apply_neuron_update(index, &weight, count);
-        self.neurons[index] = weight;
+        self.packed.apply_neuron_update(index, &weight);
         Ok(())
     }
 
-    /// The plane-sliced layout of the current weights, maintained
-    /// incrementally on every update — the layout both training-time winner
+    /// The plane-sliced weight store — the layout both training-time winner
     /// search and serving snapshots run on. Cloning it is how a serving
     /// snapshot is published (no re-pack).
     pub fn packed_layer(&self) -> &PackedLayer {
         &self.packed
     }
 
-    /// The cached per-neuron `#`-counts in address order — the secondary
-    /// comparator key of the WTA search, maintained incrementally on every
-    /// weight write.
+    /// The per-neuron `#`-counts in address order — the secondary comparator
+    /// key of the WTA search, maintained incrementally on every weight write.
     pub fn dont_care_counts(&self) -> &[u32] {
-        &self.dont_care_counts
+        self.packed.dont_care_counts()
     }
 
     /// Total number of `#` trits across all neurons — a measure of how much
     /// of the map has relaxed to "don't care". Served from the incremental
-    /// cache; O(neurons) rather than O(neurons × words).
+    /// counts; O(neurons) rather than O(neurons × words).
     pub fn total_dont_care(&self) -> usize {
-        self.dont_care_counts.iter().map(|&c| c as usize).sum()
+        self.dont_care_counts().iter().map(|&c| c as usize).sum()
     }
 
-    /// `true` iff every cached `#`-count matches a full recount of its care
-    /// plane. Debug-asserted by the update and winner paths.
-    fn cache_matches_recount(&self) -> bool {
-        self.neurons
-            .iter()
-            .zip(&self.dont_care_counts)
-            .all(|(n, &c)| n.count_dont_care() == c as usize)
-    }
-
-    /// Applies the word-parallel stochastically damped tri-state update to
-    /// neuron `neuron_index` for the given input: agreeing bits are kept,
-    /// disagreeing bits relax to `#` under a Bernoulli(relax) mask word, and
-    /// `#` bits commit to the input under a Bernoulli(commit) mask word
-    /// (suppressed entirely for relax-only neighbour updates). The cached
-    /// `#`-count is updated from the popcount delta of the masked write.
-    fn update_neuron(&mut self, neuron_index: usize, input: &BinaryVector, commit: bool) {
-        let BSom {
-            neurons,
-            rng_state,
-            dont_care_counts,
-            tables,
-            packed,
-            ..
-        } = self;
-        let commit_plan = if commit {
-            &tables.commit_plan
-        } else {
-            &tables.no_commit_plan
-        };
-        let delta = neurons[neuron_index].stochastic_update(
-            input,
-            &tables.relax_plan,
-            commit_plan,
-            rng_state,
-        );
-        let count = &mut dont_care_counts[neuron_index];
-        *count = (i64::from(*count) + delta.dont_care_delta()) as u32;
-        debug_assert_eq!(
-            *count as usize,
-            neurons[neuron_index].count_dont_care(),
-            "incremental #-count cache out of sync for neuron {neuron_index}"
-        );
-        packed.apply_neuron_update(neuron_index, &neurons[neuron_index], *count);
-        debug_assert!(
-            packed.neuron_matches(neuron_index, &neurons[neuron_index]),
-            "packed layer out of sync for neuron {neuron_index}"
-        );
+    /// The xorshift64* state, for the bit-serial reference trainer.
+    pub(crate) fn rng_state_mut(&mut self) -> &mut u64 {
+        &mut self.rng_state
     }
 
     /// The plane-sliced neighbourhood update: one broadcast mask stream
     /// applied to the contiguous window `[lo, hi]` of packed neuron columns
     /// in a single pass ([`PackedLayer::apply_window_update`]), with the
     /// commit transition gated per neuron by the [`NeighbourRule`] (only the
-    /// winner commits under [`NeighbourRule::RelaxOnly`]). The updated
-    /// column words are mirrored back into the per-neuron planes and both
-    /// `#`-count caches are maintained from the popcount deltas.
+    /// winner commits under [`NeighbourRule::RelaxOnly`]).
     fn update_window(&mut self, lo: usize, hi: usize, winner: usize, input: &BinaryVector) {
         let BSom {
             config,
-            neurons,
             rng_state,
-            dont_care_counts,
             tables,
             packed,
             scratch,
@@ -530,7 +423,7 @@ impl BSom {
         scratch.relaxed.resize(width, 0);
         scratch.committed.resize(width, 0);
         packed.apply_window_update(
-            window.clone(),
+            window,
             input,
             &tables.relax_plan,
             &tables.commit_plan,
@@ -539,151 +432,6 @@ impl BSom {
             &mut scratch.relaxed,
             &mut scratch.committed,
         );
-        for (offset, idx) in window.enumerate() {
-            packed.copy_neuron_into(idx, &mut neurons[idx]);
-            let count = &mut dont_care_counts[idx];
-            *count = (i64::from(*count) + i64::from(scratch.relaxed[offset])
-                - i64::from(scratch.committed[offset])) as u32;
-            debug_assert_eq!(
-                *count as usize,
-                neurons[idx].count_dont_care(),
-                "incremental #-count cache out of sync for neuron {idx}"
-            );
-            debug_assert!(
-                packed.neuron_matches(idx, &neurons[idx]),
-                "packed layer out of sync for neuron {idx}"
-            );
-        }
-    }
-
-    /// One training step through the **per-neuron word-parallel datapath**:
-    /// the same winner search, neighbourhood policy and word-parallel update
-    /// kernel as [`SelfOrganizingMap::train_step`], but the neighbourhood
-    /// neurons are visited one at a time, each drawing its own Bernoulli
-    /// mask words — the PR 3/4 trainer, retained as the baseline the
-    /// `neighbourhood_update` bench measures the plane-sliced window path
-    /// against and as one reference of the `window_update_equivalence`
-    /// proptests.
-    ///
-    /// The window path draws one broadcast mask stream for the whole
-    /// neighbourhood, so the two paths consume the shared RNG state
-    /// differently: for interior probabilities they agree *in distribution*
-    /// (and flip-count statistics), and for probabilities 0 and 1 — where
-    /// neither consumes randomness — they are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SomError::InputLengthMismatch`] if the input length differs
-    /// from the configured vector length.
-    pub fn train_step_per_neuron(
-        &mut self,
-        input: &BinaryVector,
-        t: usize,
-        schedule: &TrainSchedule,
-    ) -> Result<Winner, SomError> {
-        let winner = self.winner(input)?;
-        let radius = schedule.radius_at(t);
-        let neighbourhood = line_neighbourhood(winner.index, radius, self.config.neurons);
-        for idx in neighbourhood {
-            if idx == winner.index {
-                self.update_neuron(idx, input, true);
-                continue;
-            }
-            match self.config.neighbour_rule {
-                NeighbourRule::SameAsWinner => self.update_neuron(idx, input, true),
-                NeighbourRule::RelaxOnly => self.update_neuron(idx, input, false),
-                NeighbourRule::WinnerOnly => {}
-            }
-        }
-        Ok(winner)
-    }
-
-    /// The pre-word-parallel update: walk all bits of the neuron with one
-    /// integer-threshold coin per stochastic decision. Kept as the reference
-    /// implementation for the equivalence proptests and as the baseline the
-    /// train-throughput bench measures against.
-    fn update_neuron_bit_serial(
-        &mut self,
-        neuron_index: usize,
-        input: &BinaryVector,
-        relax: CoinThreshold,
-        commit: CoinThreshold,
-    ) {
-        for k in 0..input.len() {
-            let x = input.bit(k);
-            match self.neurons[neuron_index].trit(k) {
-                Trit::DontCare => {
-                    if commit.flip(&mut self.rng_state) {
-                        self.neurons[neuron_index].set(k, Trit::from_bit(x));
-                        self.dont_care_counts[neuron_index] -= 1;
-                    }
-                }
-                t => {
-                    if !t.matches(x) && relax.flip(&mut self.rng_state) {
-                        self.neurons[neuron_index].set(k, Trit::DontCare);
-                        self.dont_care_counts[neuron_index] += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            self.dont_care_counts[neuron_index] as usize,
-            self.neurons[neuron_index].count_dont_care(),
-            "incremental #-count cache out of sync for neuron {neuron_index}"
-        );
-        // The bit-serial reference must keep the shared layout current too:
-        // its winner search runs on the packed kernels like everyone else's.
-        self.packed.apply_neuron_update(
-            neuron_index,
-            &self.neurons[neuron_index],
-            self.dont_care_counts[neuron_index],
-        );
-    }
-
-    /// One training step through the **bit-serial reference datapath**: the
-    /// same winner search and neighbourhood policy as
-    /// [`SelfOrganizingMap::train_step`], but every weight bit is visited
-    /// individually and damped with its own scalar coin (an integer
-    /// threshold comparison — the last remnant of the pre-word-parallel
-    /// implementation, kept measurable on purpose).
-    ///
-    /// The word-parallel path consumes the shared RNG state differently, so
-    /// a map trained through this method matches the word-parallel result in
-    /// distribution — and bit for bit when both probabilities are 0 or 1,
-    /// where neither path consumes randomness (the `word_update_equivalence`
-    /// proptests pin both properties down).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SomError::InputLengthMismatch`] if the input length differs
-    /// from the configured vector length.
-    pub fn train_step_bit_serial(
-        &mut self,
-        input: &BinaryVector,
-        t: usize,
-        schedule: &TrainSchedule,
-    ) -> Result<Winner, SomError> {
-        let winner = self.winner(input)?;
-        let radius = schedule.radius_at(t);
-        let relax = self.tables.relax_coin;
-        let commit = self.tables.commit_coin;
-        let neighbourhood = line_neighbourhood(winner.index, radius, self.config.neurons);
-        for idx in neighbourhood {
-            if idx == winner.index {
-                self.update_neuron_bit_serial(idx, input, relax, commit);
-                continue;
-            }
-            match self.config.neighbour_rule {
-                NeighbourRule::SameAsWinner => {
-                    self.update_neuron_bit_serial(idx, input, relax, commit)
-                }
-                NeighbourRule::RelaxOnly => {
-                    self.update_neuron_bit_serial(idx, input, relax, CoinThreshold::Never)
-                }
-                NeighbourRule::WinnerOnly => {}
-            }
-        }
-        Ok(winner)
     }
 }
 
@@ -697,15 +445,11 @@ impl SelfOrganizingMap for BSom {
     }
 
     fn winner(&self, input: &BinaryVector) -> Result<Winner, SomError> {
-        debug_assert!(
-            self.cache_matches_recount(),
-            "cached #-counts diverged from the care planes"
-        );
         // Winner-take-all on the #-aware Hamming distance, computed by the
         // same plane-sliced word-slice kernels serve-time search runs on —
         // there is exactly one distance path in the system. Ties are broken
         // towards the most *specific* neuron (fewest don't-cares, served
-        // from the incremental cache) and then towards the lower index: a
+        // from the incremental counts) and then towards the lower index: a
         // heavily-relaxed neuron has an artificially small distance to
         // everything, so among equidistant candidates the one that actually
         // commits to more bits is the better explanation of the input. In
@@ -753,12 +497,13 @@ impl SelfOrganizingMap for BSom {
     }
 }
 
-/// The raw wire shape of a [`BSom`] — identical to what the former derive
-/// produced, so snapshots serialized before the word-parallel trainer still
-/// load. The incremental `#`-count cache and the precompiled update tables
-/// are *not* serialized: both are pure functions of the other fields, and
+/// The raw wire shape of a [`BSom`]: `{config, neurons, rng_state}`, the
+/// per-neuron planes in address order. The `#`-counts and update tables are
+/// *not* serialized: both are pure functions of the other fields, and
 /// rebuilding them on deserialization means a tampered snapshot can never
-/// smuggle in an inconsistent cache.
+/// smuggle in inconsistent counts. Every neuron decodes through
+/// [`TriStateVector`]'s validating `Deserialize` (word counts, clean tails,
+/// value plane inside the care plane).
 #[derive(Deserialize)]
 struct RawBSom {
     config: BSomConfig,
@@ -769,28 +514,13 @@ struct RawBSom {
 impl BSom {
     /// Validates a raw snapshot and rebuilds the derived state.
     fn from_raw(raw: RawBSom) -> Result<Self, String> {
-        if raw.config.neurons == 0 || raw.config.vector_len == 0 {
+        // Rejects an empty layer and neurons of unequal lengths.
+        let packed = PackedLayer::from_neurons(&raw.neurons).map_err(|e| e.to_string())?;
+        let shape = (packed.neuron_count(), packed.vector_len());
+        if shape != (raw.config.neurons, raw.config.vector_len) {
             return Err(format!(
-                "BSom must be non-empty (neurons = {}, vector_len = {})",
-                raw.config.neurons, raw.config.vector_len
-            ));
-        }
-        if raw.neurons.len() != raw.config.neurons {
-            return Err(format!(
-                "snapshot holds {} neurons for a config of {}",
-                raw.neurons.len(),
-                raw.config.neurons
-            ));
-        }
-        if let Some(bad) = raw
-            .neurons
-            .iter()
-            .find(|n| n.len() != raw.config.vector_len)
-        {
-            return Err(format!(
-                "neuron length {} does not match vector_len {}",
-                bad.len(),
-                raw.config.vector_len
+                "snapshot holds {} neurons of {} bits for a config of {} x {}",
+                shape.0, shape.1, raw.config.neurons, raw.config.vector_len
             ));
         }
         for p in [raw.config.relax_probability, raw.config.commit_probability] {
@@ -801,22 +531,7 @@ impl BSom {
         if raw.rng_state == 0 {
             return Err("rng_state must be non-zero (xorshift fixed point)".to_string());
         }
-        let dont_care_counts = raw
-            .neurons
-            .iter()
-            .map(|n| n.count_dont_care() as u32)
-            .collect();
-        let tables = UpdateTables::from_config(&raw.config);
-        let packed = PackedLayer::from_neurons(&raw.neurons).expect("shape checked above");
-        Ok(BSom {
-            config: raw.config,
-            neurons: raw.neurons,
-            rng_state: raw.rng_state,
-            dont_care_counts,
-            tables,
-            packed,
-            scratch: WindowScratch::default(),
-        })
+        Ok(Self::assemble(raw.config, raw.rng_state, packed))
     }
 }
 
@@ -824,7 +539,7 @@ impl serde::Serialize for BSom {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("config".to_string(), self.config.to_value()),
-            ("neurons".to_string(), self.neurons.to_value()),
+            ("neurons".to_string(), self.neurons().to_value()),
             ("rng_state".to_string(), self.rng_state.to_value()),
         ])
     }
@@ -999,7 +714,8 @@ mod tests {
         for t in 0..8 {
             let input = BinaryVector::random(70, &mut r);
             let ww = word.train_step(&input, t, &schedule).unwrap();
-            let ws = serial.train_step_bit_serial(&input, t, &schedule).unwrap();
+            let ws =
+                crate::reference::train_step_bit_serial(&mut serial, &input, t, &schedule).unwrap();
             assert_eq!(ww.index, ws.index);
         }
         assert_eq!(word, serial);
@@ -1007,8 +723,8 @@ mod tests {
 
     #[test]
     fn window_and_per_neuron_paths_agree_exactly_for_undamped_probabilities() {
-        // With p = 1 neither the broadcast window path nor the per-neuron
-        // word-parallel path consumes randomness, so the two must produce
+        // With p = 1 neither the broadcast window path nor the reference's
+        // neuron-at-a-time path consumes randomness, so the two must produce
         // bit-identical maps under every neighbour rule (the
         // `window_update_equivalence` proptest suite broadens this).
         for rule in [
@@ -1027,9 +743,9 @@ mod tests {
             for t in 0..8 {
                 let input = BinaryVector::random(70, &mut r);
                 let ww = window.train_step(&input, t, &schedule).unwrap();
-                let wp = per_neuron
-                    .train_step_per_neuron(&input, t, &schedule)
-                    .unwrap();
+                let wp =
+                    crate::reference::train_step_bit_serial(&mut per_neuron, &input, t, &schedule)
+                        .unwrap();
                 assert_eq!(ww.index, wp.index, "rule {rule:?}");
             }
             assert_eq!(window, per_neuron, "rule {rule:?}");
@@ -1101,7 +817,7 @@ mod tests {
         let before = som.neurons().to_vec();
         let input = BinaryVector::random(32, &mut r);
         let w = som.train_step(&input, 0, &TrainSchedule::new(1)).unwrap();
-        for (i, (b, a)) in before.iter().zip(som.neurons()).enumerate() {
+        for (i, (b, a)) in before.iter().zip(&som.neurons()).enumerate() {
             if i != w.index {
                 assert_eq!(b, a, "neuron {i} changed despite WinnerOnly rule");
             }
@@ -1225,5 +941,66 @@ mod tests {
         let bad = json.replace(&format!("\"rng_state\":{state}"), "\"rng_state\":0");
         assert_ne!(bad, json);
         assert!(serde_json::from_str::<BSom>(&bad).is_err());
+
+        // Tampered tri-state planes on a one-neuron `####` map: each must be
+        // a decode error, never a panic or a silently accepted map.
+        let blank = BSom::from_weights(vec![TriStateVector::all_dont_care(4)]).unwrap();
+        let json = serde_json::to_string(&blank).unwrap();
+        let value = "\"value\":{\"words\":[0]";
+        let care = "\"care\":{\"words\":[0]";
+        for (from, to) in [
+            // Value bits outside the care plane: `####` holding value 1111
+            // would commit to 1111 whatever the input.
+            (value, "\"value\":{\"words\":[15]"),
+            // More plane words than the length needs.
+            (value, "\"value\":{\"words\":[0,0]"),
+            // A care bit beyond the length.
+            (care, "\"care\":{\"words\":[16]"),
+        ] {
+            let bad = json.replace(from, to);
+            assert_ne!(bad, json, "fixture must tamper {from}");
+            assert!(serde_json::from_str::<BSom>(&bad).is_err(), "{to} accepted");
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_unpackable_layers() {
+        // Snapshots whose neuron list cannot form one packed layer of the
+        // configured shape: each must be a decode error, never a panic.
+        fn snapshot(config: BSomConfig, neurons: &[TriStateVector]) -> String {
+            let neurons: Vec<String> = neurons
+                .iter()
+                .map(|n| serde_json::to_string(n).unwrap())
+                .collect();
+            format!(
+                "{{\"config\":{},\"neurons\":[{}],\"rng_state\":7}}",
+                serde_json::to_string(&config).unwrap(),
+                neurons.join(",")
+            )
+        }
+        let config = BSomConfig::new(2, 8);
+        let good = snapshot(
+            config,
+            &[TriStateVector::zeros(8), TriStateVector::zeros(8)],
+        );
+        assert!(serde_json::from_str::<BSom>(&good).is_ok());
+
+        for (case, neurons) in [
+            ("empty layer", Vec::new()),
+            (
+                "unequal neuron lengths",
+                vec![TriStateVector::zeros(8), TriStateVector::zeros(9)],
+            ),
+            (
+                "vector length disagreeing with the config",
+                vec![TriStateVector::zeros(9), TriStateVector::zeros(9)],
+            ),
+        ] {
+            let bad = snapshot(config, &neurons);
+            assert!(
+                serde_json::from_str::<BSom>(&bad).is_err(),
+                "{case} accepted"
+            );
+        }
     }
 }

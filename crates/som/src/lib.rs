@@ -15,6 +15,8 @@
 //!   as 0.0/1.0 values.
 //! * [`SelfOrganizingMap`] — the common interface that lets the labelling,
 //!   evaluation and benchmark code treat both maps uniformly.
+//! * [`reference`](mod@reference) — the bit-serial reference trainer, the
+//!   oracle the equivalence suites hold the production datapath to.
 //! * [`LabelledSom`] — a trained map plus the win-frequency node labelling of
 //!   §III-B, turning the map into an object classifier with an *unknown*
 //!   rejection threshold.
@@ -55,6 +57,7 @@ pub mod csom;
 pub mod error;
 pub mod labeling;
 pub mod packed;
+pub mod reference;
 pub mod schedule;
 pub mod som_trait;
 
@@ -63,6 +66,6 @@ pub use classifier::{evaluate, ConfusionMatrix, Evaluation, Prediction};
 pub use csom::{CSom, CSomConfig, NeighbourhoodKernel};
 pub use error::SomError;
 pub use labeling::{LabelledSom, ObjectLabel};
-pub use packed::{BatchWinner, PackedLayer, WTA_SHARD_LEN};
+pub use packed::{BatchWinner, PackedLayer};
 pub use schedule::{NeighbourhoodSchedule, TrainSchedule};
 pub use som_trait::{SelfOrganizingMap, Winner};

@@ -24,32 +24,27 @@
 //! words, so rows untouched since the last publish stay physically shared
 //! between consecutive snapshots and a publish allocates O(rows touched
 //! since the last publish) (DESIGN.md §"Copy-on-write publication and the
-//! tournament WTA"). [`shared_row_count`](PackedLayer::shared_row_count)
+//! linear WTA"). [`shared_row_count`](PackedLayer::shared_row_count)
 //! exposes the sharing for tests and diagnostics.
 //!
-//! ## The tournament winner search
+//! ## The winner search
 //!
-//! [`PackedLayer::winner`] reduces the distance vector with
-//! [`select_winner_tournament`]: shard champions over
-//! [`WTA_SHARD_LEN`]-neuron shards, folded pairwise through the
-//! `{distance, #-count, address}` comparator key — the software shape of the
-//! FPGA comparator tree, bit-identical to the linear scan (the
-//! `tournament_wta` suite proves it, boundary ties included).
+//! [`PackedLayer::winner`] reduces the distance vector with the linear
+//! [`select_winner`] scan over the `{distance, #-count, address}`
+//! comparator key — the FPGA's WTA comparator, applied in address order.
 //!
-//! ## The incremental-layout invariant
+//! ## The single weight store
 //!
-//! [`BSom`] *owns* a `PackedLayer` and maintains it incrementally on every
-//! weight write — per-neuron column rewrites through
+//! [`BSom`] *owns* a `PackedLayer` as its only copy of the weights and
+//! writes it in place — per-neuron column rewrites through
 //! [`apply_neuron_update`](PackedLayer::apply_neuron_update), whole-window
 //! writes through [`apply_window_update`](PackedLayer::apply_window_update).
-//! The invariant, debug-asserted after every update and pinned down by the
-//! `incremental_packed` proptest suite, is that the maintained layout always
-//! equals a from-scratch [`PackedLayer::pack`] of the same map, **word for
+//! The per-neuron `#`-counts are maintained from the popcount deltas of
+//! every write and debug-checked against a recount of the touched care
+//! columns; the `incremental_packed` proptest suite pins down that the
+//! maintained layout equals a from-scratch [`PackedLayer::pack`] **word for
 //! word** (planes, `#`-counts and shape). Publishing a serving snapshot is
-//! therefore a plain clone of this field, never a re-pack, and the winner
-//! returned by [`PackedLayer::winner`] is bit-identical to
-//! [`BSom::winner`](crate::SelfOrganizingMap::winner) — including the
-//! `{distance, #-count, address}` tie-break (`packed_equivalence` suite).
+//! therefore a plain clone, never a re-pack.
 //!
 //! ```rust
 //! use bsom_signature::BinaryVector;
@@ -72,23 +67,13 @@ use std::sync::Arc;
 
 use bsom_signature::bernoulli::{draw_broadcast_masks, MaskPlan};
 use bsom_signature::{
-    accumulate_masked_hamming_row, select_winner_tournament, update_window_word, window_word_needs,
+    accumulate_masked_hamming_row, select_winner, update_window_word, window_word_needs,
     window_word_would_change, BinaryVector, TriStateVector,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::bsom::BSom;
 use crate::error::SomError;
-
-/// Shard width of the tournament winner search, in neurons.
-///
-/// Each shard is one leaf comparator of the FPGA tree; 64 keeps a leaf scan
-/// inside one cache line of distances while giving a 1024-neuron map a
-/// 16-leaf tournament. Any positive value yields the identical winner
-/// ([`select_winner_tournament`] is proptest-proven bit-identical to the
-/// linear scan for arbitrary shard widths); this constant only picks the
-/// performance point.
-pub const WTA_SHARD_LEN: usize = 64;
 
 /// Neuron-axis block width of the cache-blocked distance pass.
 ///
@@ -125,7 +110,8 @@ struct PlaneRow {
     cares: Vec<u64>,
 }
 
-/// A read-only, plane-sliced snapshot of a bSOM competitive layer.
+/// The plane-sliced weights of a bSOM competitive layer: the map's weight
+/// store, and (cloned) a serving snapshot.
 ///
 /// # Examples
 ///
@@ -137,7 +123,7 @@ struct PlaneRow {
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let som = BSom::new(BSomConfig::new(8, 64), &mut rng);
-/// let layer = PackedLayer::from_som(&som);
+/// let layer = som.packed_layer();
 /// let input = BinaryVector::random(64, &mut rng);
 /// let batched = layer.winner(&input).unwrap();
 /// let scalar = som.winner(&input).unwrap();
@@ -146,7 +132,7 @@ struct PlaneRow {
 ///
 /// // Cloning is a copy-on-write publish: every row is shared, not copied.
 /// let snapshot = layer.clone();
-/// assert_eq!(snapshot.shared_row_count(&layer), layer.word_row_count());
+/// assert_eq!(snapshot.shared_row_count(layer), layer.word_row_count());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLayer {
@@ -209,40 +195,54 @@ impl PackedLayer {
         })
     }
 
-    /// Packs a [`BSom`]'s competitive layer from scratch — the reference
-    /// layout that [`apply_neuron_update`](Self::apply_neuron_update)
-    /// maintains incrementally (the `incremental_packed` test pins down that
-    /// the two routes agree word for word).
+    /// Deep-copies a [`BSom`]'s weights into freshly allocated rows, with
+    /// the `#`-counts recounted from the care planes — the from-scratch
+    /// reference the incrementally maintained layout must equal word for
+    /// word (the `incremental_packed` suite), and the O(map) publish cost
+    /// copy-on-write rows replaced.
     pub fn pack(som: &BSom) -> Self {
-        Self::from_neurons(som.neurons()).expect("a constructed BSom is never empty")
+        Self::from_neurons(&som.neurons()).expect("a constructed BSom is never empty")
     }
 
-    /// Snapshots a trained [`BSom`]'s competitive layer. Alias of
-    /// [`pack`](Self::pack), kept for existing call sites.
-    pub fn from_som(som: &BSom) -> Self {
-        Self::pack(som)
+    /// The weight vector of neuron `index`, built from its column words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SomError::NeuronOutOfRange`] for an invalid index.
+    pub fn neuron(&self, index: usize) -> Result<TriStateVector, SomError> {
+        if index >= self.neurons {
+            return Err(SomError::NeuronOutOfRange {
+                index,
+                neurons: self.neurons,
+            });
+        }
+        let plane = |word: fn(&PlaneRow) -> &[u64]| {
+            let words = self.rows.iter().map(|row| word(row)[index]).collect();
+            BinaryVector::from_words(words, self.vector_len).expect("rows keep tail bits clear")
+        };
+        Ok(
+            TriStateVector::from_planes(plane(|row| &row.values), plane(|row| &row.cares))
+                .expect("rows keep value bits inside the care plane"),
+        )
+    }
+
+    /// Every neuron's weight vector in address order.
+    pub fn neurons(&self) -> Vec<TriStateVector> {
+        (0..self.neurons)
+            .map(|i| self.neuron(i).expect("index in range"))
+            .collect()
     }
 
     /// Rewrites the words of neuron `index` in place from its new weight
-    /// vector — the incremental-maintenance hook that lets a training loop
-    /// keep one packed layout current instead of re-packing the whole layer
-    /// per publish. Only rows whose word for this neuron actually changes
-    /// are unshared ([`Arc::make_mut`]); every row the write leaves
+    /// vector. Only rows whose word for this neuron actually changes are
+    /// unshared ([`Arc::make_mut`]); every row the write leaves
     /// bit-identical stays physically shared with previously published
     /// snapshots.
-    ///
-    /// `dont_care_count` is the neuron's new `#`-count (callers maintain it
-    /// incrementally from update deltas; debug-asserted against a recount).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range or `weight` has the wrong length.
-    pub fn apply_neuron_update(
-        &mut self,
-        index: usize,
-        weight: &TriStateVector,
-        dont_care_count: u32,
-    ) {
+    pub fn apply_neuron_update(&mut self, index: usize, weight: &TriStateVector) {
         assert!(
             index < self.neurons,
             "neuron {index} out of range for a {}-neuron layer",
@@ -253,11 +253,7 @@ impl PackedLayer {
             self.vector_len,
             "weight length must match the layer's vector length"
         );
-        debug_assert_eq!(
-            weight.count_dont_care(),
-            dont_care_count as usize,
-            "stale #-count handed to apply_neuron_update for neuron {index}"
-        );
+        let dont_care_count = weight.count_dont_care() as u32;
         let value_words = weight.value_plane().as_words();
         let care_words = weight.care_plane().as_words();
         for (w, row) in self.rows.iter_mut().enumerate() {
@@ -286,11 +282,11 @@ impl PackedLayer {
     /// applied to the window's run of row `w` with [`update_window_word`];
     /// `commit_gates[i]` (all-ones or zero) is neuron `window.start + i`'s
     /// update-enable line for the commit transition. The per-neuron
-    /// `#`-counts of the layer are updated from the popcount deltas, and the
-    /// same deltas are written into the caller's `relaxed` / `committed`
-    /// counters so callers can maintain their own caches — scratch slices
-    /// rather than returned vectors, so a training loop performs no per-step
-    /// allocation (the counters are zeroed here, not accumulated).
+    /// `#`-counts of the layer are updated from the popcount deltas, which
+    /// the kernel writes into the caller's `relaxed` / `committed` counters
+    /// — scratch slices rather than internal vectors, so a training loop
+    /// performs no per-step allocation (the counters are zeroed here, not
+    /// accumulated; afterwards they hold this step's per-neuron flips).
     ///
     /// A row is unshared ([`Arc::make_mut`]) only when the drawn masks will
     /// actually flip at least one bit in it
@@ -303,8 +299,7 @@ impl PackedLayer {
     ///
     /// RNG cost is per *window word*, not per neuron — updating a 9-neuron
     /// neighbourhood draws exactly as many mask words as updating one
-    /// neuron, which is where the plane-sliced trainer's speedup over the
-    /// per-neuron path comes from.
+    /// neuron.
     ///
     /// # Panics
     ///
@@ -392,51 +387,21 @@ impl PackedLayer {
                 *count = (i64::from(*count) + i64::from(r) - i64::from(c)) as u32;
             }
         }
+        debug_assert!(
+            window.clone().all(|i| self.count_matches_recount(i)),
+            "incremental #-counts diverged from the care planes in {window:?}"
+        );
     }
 
-    /// Copies neuron `index`'s packed column words back into `weight`'s
-    /// per-neuron planes — the write-back half of
-    /// [`apply_window_update`](Self::apply_window_update), which keeps the
-    /// two representations of the weights in lock-step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or `weight` has the wrong length.
-    pub fn copy_neuron_into(&self, index: usize, weight: &mut TriStateVector) {
-        assert!(
-            index < self.neurons,
-            "neuron {index} out of range for a {}-neuron layer",
-            self.neurons
-        );
-        assert_eq!(
-            weight.len(),
-            self.vector_len,
-            "weight length must match the layer's vector length"
-        );
-        for (w, row) in self.rows.iter().enumerate() {
-            weight.set_plane_word(w, row.values[index], row.cares[index]);
-        }
-    }
-
-    /// `true` iff neuron `index`'s packed words and `#`-count equal `weight`'s
-    /// planes — the per-neuron sync check the [`BSom`] update paths
-    /// debug-assert after every incremental write.
-    pub fn neuron_matches(&self, index: usize, weight: &TriStateVector) -> bool {
-        index < self.neurons
-            && weight.len() == self.vector_len
-            && weight
-                .value_plane()
-                .as_words()
-                .iter()
-                .zip(&self.rows)
-                .all(|(&v, row)| row.values[index] == v)
-            && weight
-                .care_plane()
-                .as_words()
-                .iter()
-                .zip(&self.rows)
-                .all(|(&c, row)| row.cares[index] == c)
-            && self.dont_care_counts[index] as usize == weight.count_dont_care()
+    /// `true` iff neuron `index`'s stored `#`-count equals a popcount of its
+    /// care column — the invariant every write path maintains.
+    fn count_matches_recount(&self, index: usize) -> bool {
+        let concrete: u32 = self
+            .rows
+            .iter()
+            .map(|row| row.cares[index].count_ones())
+            .sum();
+        self.dont_care_counts[index] as usize + concrete as usize == self.vector_len
     }
 
     /// Number of neurons in the layer.
@@ -570,10 +535,8 @@ impl PackedLayer {
     }
 
     /// Batched winner search: one sequential pass over the input words
-    /// against the plane-sliced layer, then the tournament `{distance,
-    /// #-count, address}` reduction over [`WTA_SHARD_LEN`]-neuron shards —
-    /// bit-identical to the linear scan (the `tournament_wta` suite), but
-    /// shaped like the FPGA comparator tree.
+    /// against the plane-sliced layer, then the linear `{distance, #-count,
+    /// address}` comparator scan ([`select_winner`]).
     ///
     /// # Errors
     ///
@@ -601,12 +564,12 @@ impl PackedLayer {
     ) -> Result<BatchWinner, SomError> {
         distances.fill(0);
         self.distances_into(input, distances)?;
-        let key = select_winner_tournament(distances, &self.dont_care_counts, WTA_SHARD_LEN)
+        let (index, distance) = select_winner(distances, &self.dont_care_counts)
             .expect("a constructed PackedLayer is never empty");
         Ok(BatchWinner {
-            index: key.address,
-            distance: key.distance,
-            dont_care_count: key.dont_care_count,
+            index,
+            distance,
+            dont_care_count: self.dont_care_counts[index],
         })
     }
 
@@ -622,131 +585,6 @@ impl PackedLayer {
             .iter()
             .map(|input| self.winner_with_buffer(input, &mut distances))
             .collect()
-    }
-}
-
-// The copy-on-write rows are an ownership detail, not a wire concept: the
-// serialized form stays the flat word-major planes of the pre-CoW layout
-// (field order matters — readers and the tamper-rejection fixtures key on
-// it). Hand-written because the vendored serde stand-in has no `Arc` impls;
-// with registry serde this would be `#[serde(into/try_from)]` glue.
-impl Serialize for PackedLayer {
-    fn to_value(&self) -> serde::Value {
-        let flatten = |plane: fn(&PlaneRow) -> &[u64]| {
-            serde::Value::Array(
-                self.rows
-                    .iter()
-                    .flat_map(|row| plane(row).iter().map(|&w| serde::Value::UInt(w)))
-                    .collect(),
-            )
-        };
-        serde::Value::Object(vec![
-            ("neurons".into(), self.neurons.to_value()),
-            ("vector_len".into(), self.vector_len.to_value()),
-            ("words_per_vector".into(), self.words_per_vector.to_value()),
-            ("values".into(), flatten(|row| &row.values)),
-            ("cares".into(), flatten(|row| &row.cares)),
-            (
-                "dont_care_counts".into(),
-                self.dont_care_counts.as_slice().to_value(),
-            ),
-        ])
-    }
-}
-
-/// The raw wire shape of a [`PackedLayer`], deserialized without invariants.
-///
-/// The public type's constructors all enforce the cross-field invariants the
-/// search kernels index by; deserialization must not be a back door around
-/// them, so [`PackedLayer`]'s `Deserialize` goes through this struct plus
-/// [`PackedLayer::validate_raw`].
-#[derive(Deserialize)]
-struct RawPackedLayer {
-    neurons: usize,
-    vector_len: usize,
-    words_per_vector: usize,
-    values: Vec<u64>,
-    cares: Vec<u64>,
-    dont_care_counts: Vec<u32>,
-}
-
-impl PackedLayer {
-    /// Checks every invariant the hand-written constructors guarantee; a
-    /// snapshot violating any of them would panic or mis-index at
-    /// classification time.
-    fn validate_raw(raw: RawPackedLayer) -> Result<Self, String> {
-        if raw.neurons == 0 || raw.vector_len == 0 {
-            return Err(format!(
-                "PackedLayer must be non-empty (neurons = {}, vector_len = {})",
-                raw.neurons, raw.vector_len
-            ));
-        }
-        if raw.words_per_vector != raw.vector_len.div_ceil(64) {
-            return Err(format!(
-                "words_per_vector {} does not match vector_len {}",
-                raw.words_per_vector, raw.vector_len
-            ));
-        }
-        let expected_words = raw.words_per_vector * raw.neurons;
-        if raw.values.len() != expected_words || raw.cares.len() != expected_words {
-            return Err(format!(
-                "plane sizes ({} values, {} cares) do not match {} words x {} neurons",
-                raw.values.len(),
-                raw.cares.len(),
-                raw.words_per_vector,
-                raw.neurons
-            ));
-        }
-        if raw.dont_care_counts.len() != raw.neurons {
-            return Err(format!(
-                "{} #-counts for {} neurons",
-                raw.dont_care_counts.len(),
-                raw.neurons
-            ));
-        }
-        // Tail bits beyond vector_len must be zero in both planes — Eq. 3
-        // popcounts would otherwise see phantom trits.
-        let rem = raw.vector_len % 64;
-        if rem != 0 {
-            let tail_mask = !((1u64 << rem) - 1);
-            let tail_row = (raw.words_per_vector - 1) * raw.neurons;
-            for plane in [&raw.values, &raw.cares] {
-                if plane[tail_row..].iter().any(|w| w & tail_mask != 0) {
-                    return Err(format!(
-                        "tail bits beyond vector_len {} are set",
-                        raw.vector_len
-                    ));
-                }
-            }
-        }
-        let rows = raw
-            .values
-            .chunks_exact(raw.neurons)
-            .zip(raw.cares.chunks_exact(raw.neurons))
-            .map(|(values, cares)| {
-                Arc::new(PlaneRow {
-                    values: values.to_vec(),
-                    cares: cares.to_vec(),
-                })
-            })
-            .collect();
-        Ok(PackedLayer {
-            neurons: raw.neurons,
-            vector_len: raw.vector_len,
-            words_per_vector: raw.words_per_vector,
-            rows,
-            dont_care_counts: Arc::new(raw.dont_care_counts),
-        })
-    }
-}
-
-// Written against the vendored serde stand-in's `from_value` trait; with
-// registry serde this collapses to `#[serde(try_from = "RawPackedLayer")]`
-// on the struct (see vendor/README.md).
-impl serde::Deserialize for PackedLayer {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let raw = RawPackedLayer::from_value(value)?;
-        PackedLayer::validate_raw(raw).map_err(serde::Error::custom)
     }
 }
 
@@ -782,7 +620,7 @@ mod tests {
     fn packed_distances_match_scalar_distances() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::paper_default(), &mut r);
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         assert_eq!(layer.neuron_count(), 40);
         assert_eq!(layer.vector_len(), 768);
         assert_eq!(layer.word_row_count(), 12);
@@ -803,7 +641,7 @@ mod tests {
         let data: Vec<BinaryVector> = (0..8).map(|_| BinaryVector::random(96, &mut r)).collect();
         som.train(&data, crate::TrainSchedule::new(30), &mut r)
             .unwrap();
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         for input in &data {
             let scalar = som.winner(input).unwrap();
             let packed = layer.winner(input).unwrap();
@@ -847,7 +685,7 @@ mod tests {
     fn winners_batch_matches_individual_calls() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(12, 128), &mut r);
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         let inputs: Vec<BinaryVector> = (0..6).map(|_| BinaryVector::random(128, &mut r)).collect();
         let batch = layer.winners(&inputs).unwrap();
         for (input, batched) in inputs.iter().zip(&batch) {
@@ -858,7 +696,7 @@ mod tests {
     #[test]
     fn clone_shares_every_row() {
         let mut r = rng();
-        let layer = PackedLayer::from_som(&BSom::new(BSomConfig::new(8, 192), &mut r));
+        let layer = PackedLayer::pack(&BSom::new(BSomConfig::new(8, 192), &mut r));
         let snapshot = layer.clone();
         assert_eq!(snapshot.shared_row_count(&layer), layer.word_row_count());
         assert!(snapshot.shares_counts_with(&layer));
@@ -869,27 +707,29 @@ mod tests {
     fn neuron_update_unshares_only_touched_rows() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(8, 192), &mut r);
-        let mut layer = PackedLayer::from_som(&som);
+        let mut layer = PackedLayer::pack(&som);
         let snapshot = layer.clone();
 
         // A no-op rewrite (same weight) must leave every row shared.
-        let mut weight = TriStateVector::zeros(192);
-        layer.copy_neuron_into(3, &mut weight);
-        let count = layer.dont_care_counts()[3];
-        layer.apply_neuron_update(3, &weight, count);
+        let mut weight = layer.neuron(3).unwrap();
+        layer.apply_neuron_update(3, &weight);
         assert_eq!(layer.shared_row_count(&snapshot), 3);
         assert!(layer.shares_counts_with(&snapshot));
 
         // Flip one trit in word 1 only: exactly that row must unshare.
         let old = weight.trit(70);
         weight.set(70, different_trit(old));
-        layer.apply_neuron_update(3, &weight, weight.count_dont_care() as u32);
+        layer.apply_neuron_update(3, &weight);
         assert_eq!(layer.shared_row_count(&snapshot), 2);
         assert!(std::sync::Arc::ptr_eq(&layer.rows[0], &snapshot.rows[0]));
         assert!(!std::sync::Arc::ptr_eq(&layer.rows[1], &snapshot.rows[1]));
         assert!(std::sync::Arc::ptr_eq(&layer.rows[2], &snapshot.rows[2]));
         // Still word-for-word correct after the copy-on-write.
-        assert!(layer.neuron_matches(3, &weight));
+        assert_eq!(layer.neuron(3).unwrap(), weight);
+        assert_eq!(
+            layer.dont_care_counts()[3] as usize,
+            weight.count_dont_care()
+        );
     }
 
     fn different_trit(t: bsom_signature::Trit) -> bsom_signature::Trit {
@@ -897,53 +737,5 @@ mod tests {
             bsom_signature::Trit::Zero => bsom_signature::Trit::One,
             _ => bsom_signature::Trit::Zero,
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut r = rng();
-        let som = BSom::new(BSomConfig::new(4, 70), &mut r);
-        let layer = PackedLayer::from_som(&som);
-        let json = serde_json::to_string(&layer).unwrap();
-        let back: PackedLayer = serde_json::from_str(&json).unwrap();
-        assert_eq!(layer, back);
-    }
-
-    #[test]
-    fn deserialize_rejects_inconsistent_snapshots() {
-        let mut r = rng();
-        let layer = PackedLayer::from_som(&BSom::new(BSomConfig::new(4, 70), &mut r));
-        let json = serde_json::to_string(&layer).unwrap();
-
-        // Structural tampering: wrong neuron count for the stored planes.
-        let bad = json.replace("\"neurons\":4", "\"neurons\":5");
-        assert!(serde_json::from_str::<PackedLayer>(&bad).is_err());
-
-        // Empty layer.
-        let empty = json
-            .replace("\"neurons\":4", "\"neurons\":0")
-            .replace("\"vector_len\":70", "\"vector_len\":0");
-        assert!(serde_json::from_str::<PackedLayer>(&empty).is_err());
-
-        // Wrong words_per_vector for the claimed vector_len.
-        let skewed = json.replace("\"words_per_vector\":2", "\"words_per_vector\":3");
-        assert!(serde_json::from_str::<PackedLayer>(&skewed).is_err());
-
-        // #-count table not one-per-neuron.
-        let counts = json.replace("\"dont_care_counts\":[0,0,0,0]", "\"dont_care_counts\":[0]");
-        assert_ne!(counts, json, "fixture must actually tamper the counts");
-        assert!(serde_json::from_str::<PackedLayer>(&counts).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_set_tail_bits() {
-        // 70-bit vectors leave 58 tail bits in the second word; phantom trits
-        // there would corrupt every popcount. All-# layer except for a care
-        // tail word with every bit set.
-        let good = r#"{"neurons":1,"vector_len":70,"words_per_vector":2,
-            "values":[0,0],"cares":[0,0],"dont_care_counts":[70]}"#;
-        assert!(serde_json::from_str::<PackedLayer>(good).is_ok());
-        let bad = good.replace("\"cares\":[0,0]", "\"cares\":[0,18446744073709551615]");
-        assert!(serde_json::from_str::<PackedLayer>(&bad).is_err());
     }
 }

@@ -4,15 +4,18 @@
 //! stream itself.
 //!
 //! The wide kernels (DESIGN.md §"Wide-lane kernels and dispatch") never
-//! touch the RNG: mask drawing stays word-sequential through the
-//! lane-batched draw entry, so the stream a train run consumes is a pure
-//! function of the data — not of the dispatch. The strongest observable of
+//! touch the RNG: masks are drawn word by word before any kernel runs, so
+//! the stream a train run consumes is a pure function of the data — not of
+//! the dispatch. The strongest observable of
 //! that claim is whole-map equality after a real training run: `BSom`'s
 //! `PartialEq` covers the private RNG state, so one `assert_eq!` pins
 //! weights, `#`-counts *and* stream position at once. The maintained
 //! [`PackedLayer`] is additionally compared against a from-scratch
 //! [`PackedLayer::pack`], so the incremental popcount/plane maintenance
-//! under each lowering is checked against a full rebuild.
+//! under each lowering is checked against a full rebuild. For undamped
+//! probabilities, where no path consumes randomness, every lowering must
+//! also reproduce the bit-serial reference trainer
+//! ([`bsom_som::reference::train_step_bit_serial`]).
 
 use bsom_signature::lanes::Dispatch;
 use bsom_signature::{force_dispatch, BinaryVector};
@@ -114,6 +117,41 @@ fn relax_only_neighbours_stay_identical_under_every_dispatch() {
         .with_neighbour_rule(NeighbourRule::RelaxOnly)
         .with_update_probabilities(0.3, 0.3);
     assert_all_dispatches_identical(&config, &corpus, 2, 0x1DEA);
+    force_dispatch(None).expect("clearing the override always succeeds");
+    drop(guard);
+}
+
+#[test]
+fn undamped_train_runs_match_the_bit_serial_reference_under_every_dispatch() {
+    let guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x5E71);
+    let corpus = patterns(190, 8, &mut rng);
+    for rule in [NeighbourRule::SameAsWinner, NeighbourRule::RelaxOnly] {
+        let config = BSomConfig::new(12, 190)
+            .with_neighbour_rule(rule)
+            .with_update_probabilities(1.0, 1.0);
+        let schedule = TrainSchedule::new(3);
+        let mut reference = BSom::new(config, &mut StdRng::seed_from_u64(0x0DE1));
+        for t in 0..schedule.iterations {
+            for input in &corpus {
+                bsom_som::reference::train_step_bit_serial(&mut reference, input, t, &schedule)
+                    .expect("lengths match");
+            }
+        }
+        for dispatch in Dispatch::available() {
+            force_dispatch(Some(dispatch)).expect("test only forces available lowerings");
+            let mut som = BSom::new(config, &mut StdRng::seed_from_u64(0x0DE1));
+            for t in 0..schedule.iterations {
+                for input in &corpus {
+                    som.train_step(input, t, &schedule).expect("lengths match");
+                }
+            }
+            assert_eq!(
+                som, reference,
+                "{dispatch} ({rule:?}) diverged from bit-serial"
+            );
+        }
+    }
     force_dispatch(None).expect("clearing the override always succeeds");
     drop(guard);
 }

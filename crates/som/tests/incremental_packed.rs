@@ -1,9 +1,9 @@
 //! Property suite for the incrementally-maintained packed layout: after an
 //! arbitrary training run — word-parallel or bit-serial, with arbitrary
 //! update probabilities and out-of-band `set_neuron` writes — the layer
-//! [`BSom`] maintained word by word through
-//! [`PackedLayer::apply_neuron_update`] must equal a from-scratch
-//! [`PackedLayer::pack`] of the final map, word for word.
+//! [`BSom`] maintains word by word (window writes, and
+//! [`PackedLayer::apply_neuron_update`] for the rest) must equal a
+//! from-scratch [`PackedLayer::pack`] of the final map, word for word.
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
 use bsom_som::{BSom, BSomConfig, PackedLayer, SelfOrganizingMap, TrainSchedule};
@@ -64,7 +64,7 @@ proptest! {
         let schedule = TrainSchedule::new(4);
         for t in 0..steps {
             let input = &patterns[t % patterns.len()];
-            som.train_step_bit_serial(input, t % 4, &schedule).unwrap();
+            bsom_som::reference::train_step_bit_serial(&mut som, input, t % 4, &schedule).unwrap();
         }
         assert_packed_fresh(&som)?;
     }

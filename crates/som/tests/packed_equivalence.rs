@@ -1,8 +1,11 @@
 //! Property suite pinning the batch/scalar winner-search equivalence
 //! (DESIGN.md §"The batched engine layout"): for arbitrary layers and inputs
-//! — including engineered ties — the plane-sliced [`PackedLayer`] search must
-//! return a bit-identical `{winner, distance}` to the per-neuron
-//! [`BSom::winner`] reference loop, and identical full distance vectors.
+//! — including engineered ties and layers wider than 64 neurons — the
+//! plane-sliced [`PackedLayer`] search must return a bit-identical
+//! `{winner, distance, #-count}` to an independent per-neuron scan, and
+//! identical full distance vectors. The scan lives in this file and shares
+//! no code with the packed kernels: [`TriStateVector::hamming`] per neuron,
+//! then the minimum of `{distance, #-count, address}`.
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
 use bsom_som::{BSom, PackedLayer, SelfOrganizingMap};
@@ -44,6 +47,38 @@ fn tie_heavy_layer(len: usize) -> impl Strategy<Value = Vec<TriStateVector>> {
     })
 }
 
+/// A wide layer engineered for ties at scale: every neuron is `#` except
+/// its first three trits, so distances fall in `{0..3}` and `#`-counts in
+/// `{61..64}`, and among 60–200 neurons nearly every comparison is decided
+/// by a deeper key component.
+fn tie_heavy_wide_layer() -> impl Strategy<Value = Vec<TriStateVector>> {
+    prop::collection::vec(prop::collection::vec(0u8..3, 3), 60..200).prop_map(|heads| {
+        heads
+            .into_iter()
+            .map(|head| {
+                TriStateVector::from_trits((0..64).map(|k| match head.get(k) {
+                    Some(0) => Trit::Zero,
+                    Some(1) => Trit::One,
+                    _ => Trit::DontCare,
+                }))
+            })
+            .collect()
+    })
+}
+
+/// The independent scalar oracle: per-neuron distances, and the address of
+/// the minimum `{distance, #-count, address}` key. `None` when the input
+/// length does not match the layer.
+fn scalar_scan(weights: &[TriStateVector], input: &BinaryVector) -> Option<(Vec<u32>, usize)> {
+    let distances = weights
+        .iter()
+        .map(|w| w.hamming(input).ok().map(|d| d as u32))
+        .collect::<Option<Vec<u32>>>()?;
+    let winner =
+        (0..weights.len()).min_by_key(|&i| (distances[i], weights[i].count_dont_care(), i))?;
+    Some((distances, winner))
+}
+
 /// Asserts full scalar/batched agreement for one layer and one input.
 fn assert_equivalent(
     weights: Vec<TriStateVector>,
@@ -52,24 +87,31 @@ fn assert_equivalent(
     let som = BSom::from_weights(weights.clone()).expect("non-empty layer");
     let packed = PackedLayer::from_neurons(&weights).expect("non-empty layer");
 
-    let scalar_distances = som.winner(input).map(|_| som.distances(input).unwrap());
+    let scalar = scalar_scan(&weights, input);
     let packed_distances = packed.distances(input);
-    prop_assert_eq!(scalar_distances.is_ok(), packed_distances.is_ok());
-    let (Ok(scalar_distances), Ok(packed_distances)) = (scalar_distances, packed_distances) else {
+    prop_assert_eq!(scalar.is_some(), packed_distances.is_ok());
+    prop_assert_eq!(som.winner(input).is_ok(), packed_distances.is_ok());
+    let (Some((scalar_distances, scalar_index)), Ok(packed_distances)) = (scalar, packed_distances)
+    else {
         return Ok(()); // both rejected the input (length mismatch)
     };
-    for (s, p) in scalar_distances.iter().zip(&packed_distances) {
-        prop_assert_eq!(*s, *p as f64);
+    prop_assert_eq!(&scalar_distances, &packed_distances);
+    let map_distances = som.distances(input).unwrap();
+    for (s, m) in scalar_distances.iter().zip(&map_distances) {
+        prop_assert_eq!(*s as f64, *m);
     }
 
-    let scalar = som.winner(input).unwrap();
+    let scalar_distance = scalar_distances[scalar_index];
     let batched = packed.winner(input).unwrap();
-    prop_assert_eq!(batched.index, scalar.index);
-    prop_assert_eq!(batched.distance as f64, scalar.distance);
+    prop_assert_eq!(batched.index, scalar_index);
+    prop_assert_eq!(batched.distance, scalar_distance);
     prop_assert_eq!(
         batched.dont_care_count as usize,
         weights[batched.index].count_dont_care()
     );
+    let via_map = som.winner(input).unwrap();
+    prop_assert_eq!(via_map.index, scalar_index);
+    prop_assert_eq!(via_map.distance, scalar_distance as f64);
     Ok(())
 }
 
@@ -99,12 +141,11 @@ proptest! {
         assert_equivalent(weights, &input)?;
     }
 
-    /// The layer's tournament winner equals a linear scan over its own
-    /// distance vector — the integration-level restatement of the
-    /// `tournament_wta` suite, on layers wide enough (> [`WTA_SHARD_LEN`]
-    /// neurons) to force a genuine multi-shard reduction.
+    /// Layers wider than 64 neurons: the winner equals the scalar scan and
+    /// the linear [`select_winner`](bsom_signature::select_winner) over the
+    /// layer's own distance vector.
     #[test]
-    fn layer_tournament_winner_equals_linear_scan(
+    fn wide_layer_winner_equals_linear_scan(
         weights in prop::collection::vec(tristate_vector(96), 60..160),
         input in binary_vector(96),
     ) {
@@ -116,6 +157,17 @@ proptest! {
         prop_assert_eq!(winner.index, index);
         prop_assert_eq!(winner.distance, distance);
         prop_assert_eq!(winner.dont_care_count, packed.dont_care_counts()[index]);
+        assert_equivalent(weights, &input)?;
+    }
+
+    /// Tie-heavy layers wider than 64 neurons: distance and `#`-count ties
+    /// everywhere, so the address decides most comparisons.
+    #[test]
+    fn tie_heavy_wide_layers_resolve_like_the_scalar_scan(
+        weights in tie_heavy_wide_layer(),
+        input in binary_vector(64),
+    ) {
+        assert_equivalent(weights, &input)?;
     }
 
     /// A batched call over many inputs equals one-at-a-time calls.
@@ -129,5 +181,30 @@ proptest! {
         for (input, batched) in inputs.iter().zip(&batch) {
             prop_assert_eq!(*batched, packed.winner(input).unwrap());
         }
+    }
+}
+
+/// A run of fully tied `{distance, #-count}` keys planted across address 64
+/// must resolve to its lowest address, with every other neuron strictly
+/// worse.
+#[test]
+fn planted_tie_run_resolves_to_its_lowest_address() {
+    let input = BinaryVector::from_bits((0..96).map(|i| i % 5 == 0));
+    let exact = TriStateVector::from_binary(&input);
+    let worse = TriStateVector::from_binary(&!&input);
+    for (lo, hi) in [(60usize, 68usize), (63, 65), (64, 70), (0, 130)] {
+        let weights: Vec<TriStateVector> = (0..130)
+            .map(|i| {
+                if (lo..hi).contains(&i) {
+                    exact.clone()
+                } else {
+                    worse.clone()
+                }
+            })
+            .collect();
+        let packed = PackedLayer::from_neurons(&weights).unwrap();
+        let winner = packed.winner(&input).unwrap();
+        assert_eq!((winner.index, winner.distance), (lo, 0), "run {lo}..{hi}");
+        assert_eq!(scalar_scan(&weights, &input).unwrap().1, lo);
     }
 }

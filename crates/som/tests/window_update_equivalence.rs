@@ -1,18 +1,19 @@
 //! Property suite pinning the plane-sliced neighbourhood update to the
-//! per-neuron word-parallel path (DESIGN.md §"The neighbourhood broadcast
-//! update").
+//! bit-serial reference trainer across neighbour rules (DESIGN.md §"The
+//! neighbourhood broadcast update").
 //!
 //! The window path draws **one** broadcast mask stream per training step and
 //! shares it across every neuron in the neighbourhood address window; the
-//! per-neuron path re-draws masks for each neuron. The two therefore consume
-//! the shared xorshift64* state differently, and the equivalence guarantee
-//! is two-tiered, exactly like the word-parallel-vs-bit-serial suite:
+//! reference visits each neuron and each bit with its own scalar coin. The
+//! two therefore consume the shared xorshift64* state differently, and the
+//! equivalence guarantee is two-tiered, exactly like the
+//! word-parallel-vs-bit-serial suite:
 //!
 //! * for probabilities 0 and 1 neither path consumes randomness, so
 //!   [`BSom::train_step`](bsom_som::SelfOrganizingMap::train_step) (window)
-//!   and [`BSom::train_step_per_neuron`](bsom_som::BSom::train_step_per_neuron)
-//!   must produce **bit-identical** maps — weights, cached `#`-counts, RNG
-//!   state and all, under every neighbour rule;
+//!   and [`reference::train_step_bit_serial`](bsom_som::reference::train_step_bit_serial)
+//!   must produce **bit-identical** maps — weights, `#`-counts, RNG state
+//!   and all, under every neighbour rule;
 //! * for interior probabilities every transition the window path makes must
 //!   be *legal* under the tri-state rule table, and the *number* of
 //!   transitions must match the configured probability statistically under
@@ -22,13 +23,14 @@
 //!
 //! Additionally, after any window-path run the incrementally maintained
 //! [`PackedLayer`] must equal a from-scratch `PackedLayer::pack` word for
-//! word — the window update writes the packed columns *first* and mirrors
-//! them back into the per-neuron planes, so this pins the write-back half.
+//! word — planes and the `#`-counts the window update maintains from its
+//! popcount deltas.
 //!
 //! Vector lengths deliberately include non-multiples of 64 so the masked
 //! final partial word is always in play.
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
+use bsom_som::reference::train_step_bit_serial;
 use bsom_som::{BSom, BSomConfig, NeighbourRule, PackedLayer, SelfOrganizingMap, TrainSchedule};
 use proptest::prelude::*;
 
@@ -76,7 +78,7 @@ fn build_inputs(raw: &[Vec<bool>], len: usize) -> Vec<BinaryVector> {
         .collect()
 }
 
-/// Runs `inputs` through the window path and the per-neuron path on
+/// Runs `inputs` through the window path and the bit-serial reference on
 /// identically constructed maps and asserts full bit-identity, plus the
 /// packed-layout invariant on the window-path map.
 fn assert_bit_identical(
@@ -90,25 +92,23 @@ fn assert_bit_identical(
         .expect("non-empty layer")
         .with_update_probabilities(relax, commit)
         .with_neighbour_rule(rule);
-    let mut per_neuron = reference.clone();
+    let mut serial = reference.clone();
     let mut window = reference;
     let schedule = TrainSchedule::new(inputs.len().max(1));
     for (t, input) in inputs.iter().enumerate() {
         let ww = window.train_step(input, t, &schedule).expect("length ok");
-        let wp = per_neuron
-            .train_step_per_neuron(input, t, &schedule)
-            .expect("length ok");
+        let wp = train_step_bit_serial(&mut serial, input, t, &schedule).expect("length ok");
         prop_assert!(ww.index == wp.index, "winners diverged at step {}", t);
         prop_assert_eq!(ww.distance, wp.distance);
     }
-    prop_assert!(window == per_neuron, "maps diverged");
-    prop_assert_eq!(window.dont_care_counts(), per_neuron.dont_care_counts());
+    prop_assert!(window == serial, "maps diverged");
+    prop_assert_eq!(window.dont_care_counts(), serial.dont_care_counts());
     prop_assert_eq!(window.packed_layer(), &PackedLayer::pack(&window));
     Ok(())
 }
 
 proptest! {
-    /// Undamped rule (p = 1 for both transitions): the window and per-neuron
+    /// Undamped rule (p = 1 for both transitions): the window and bit-serial
     /// paths must be bit-identical across whole training runs, partial tail
     /// word included, for every neighbour rule.
     #[test]
@@ -146,7 +146,7 @@ proptest! {
         for (t, input) in inputs.iter().enumerate() {
             som.train_step(input, t, &schedule).expect("length ok");
         }
-        prop_assert!(som.neurons() == &before[..], "p = 0 must freeze the map");
+        prop_assert!(som.neurons() == before, "p = 0 must freeze the map");
         assert_bit_identical(weights, &inputs, 0.0, 0.0, NeighbourRule::SameAsWinner)?;
     }
 
@@ -298,10 +298,10 @@ fn interior_probability_window_flip_counts_track_p() {
     }
 }
 
-/// The two word-parallel datapaths must agree on long-run weight
-/// *statistics*, not just single-step legality: train two identically-seeded
-/// maps through each path on the same small dataset and compare total
-/// `#`-mass within a tolerance.
+/// The window path and the bit-serial reference must agree on long-run
+/// weight *statistics*, not just single-step legality: train two
+/// identically-seeded maps through each path on the same small dataset and
+/// compare total `#`-mass within a tolerance.
 #[test]
 fn long_run_dont_care_mass_is_statistically_consistent() {
     use rand::rngs::StdRng;
@@ -316,21 +316,19 @@ fn long_run_dont_care_mass_is_statistically_consistent() {
     let schedule = TrainSchedule::new(40);
 
     let mut window = som.clone();
-    let mut per_neuron = som;
+    let mut serial = som;
     for t in 0..40 {
         for input in &data {
             window.train_step(input, t, &schedule).unwrap();
-            per_neuron
-                .train_step_per_neuron(input, t, &schedule)
-                .unwrap();
+            train_step_bit_serial(&mut serial, input, t, &schedule).unwrap();
         }
     }
     let total = (6 * len) as f64;
     let window_mass = window.total_dont_care() as f64 / total;
-    let per_neuron_mass = per_neuron.total_dont_care() as f64 / total;
+    let serial_mass = serial.total_dont_care() as f64 / total;
     assert!(
-        (window_mass - per_neuron_mass).abs() < 0.15,
-        "steady-state #-mass diverged: window {window_mass:.3} vs per-neuron {per_neuron_mass:.3}"
+        (window_mass - serial_mass).abs() < 0.15,
+        "steady-state #-mass diverged: window {window_mass:.3} vs bit-serial {serial_mass:.3}"
     );
     assert_eq!(window.packed_layer(), &PackedLayer::pack(&window));
 }
