@@ -1,23 +1,13 @@
-//! Crash-safe checkpoints: a length-prefixed, checksummed frame around the
-//! full training state, committed by temp-file + atomic rename.
+//! Crash-safe checkpoints: the full training state as a JSON document in a
+//! [`frame::CHECKPOINT`] frame, committed by temp-file + atomic rename.
 //!
-//! ## Frame format (DESIGN.md §"Fault model and recovery")
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"BSOMCKPT"
-//! 8       4     format version, u32 little-endian (currently 1)
-//! 12      8     payload length `L`, u64 little-endian
-//! 20      L     payload: the checkpoint document as JSON
-//! 20+L    8     FNV-1a-64 checksum of bytes [0, 20+L), u64 little-endian
-//! ```
-//!
-//! The checksum covers the header too, so a torn prefix, a truncated tail
-//! and a flipped bit anywhere in the file are all rejected with a typed
-//! [`CheckpointError`] — never a panic, never a silently-wrong map. The
-//! payload reuses the validating serde of [`bsom_som::BSom`] (neuron
-//! shapes, probabilities, non-zero RNG state), plus the engine-level checks
-//! in `CheckpointDoc::validate` (private).
+//! The frame (magic `BSOMCKPT`, format 1, payload length, FNV-1a-64
+//! checksum; layout in [`frame`]) rejects a torn prefix, a truncated tail
+//! and a flipped bit anywhere in the file with a typed [`CheckpointError`] —
+//! never a panic, never a silently-wrong map. The payload reuses the
+//! validating serde of [`bsom_som::BSom`] (neuron shapes, probabilities,
+//! non-zero RNG state), plus the engine-level checks in
+//! `CheckpointDoc::validate` (private).
 //!
 //! Writes go to `<path>.tmp` in the same directory, are flushed with
 //! `sync_all`, and only then renamed over `path` — on every POSIX
@@ -42,17 +32,9 @@ use std::time::Duration;
 use bsom_som::{BSom, BSomConfig, SelfOrganizingMap, TrainSchedule};
 use serde::{Deserialize, Serialize};
 
+use crate::frame::{self, FrameError};
 use crate::throughput::{measure, MeasuredThroughput};
 use crate::EngineConfig;
-
-/// The frame's leading magic bytes.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BSOMCKPT";
-/// The frame format this build writes and the only one it accepts.
-pub const CHECKPOINT_FORMAT: u32 = 1;
-/// Bytes before the payload: magic (8) + format (4) + payload length (8).
-pub const CHECKPOINT_HEADER_LEN: usize = 20;
-/// Trailing checksum bytes.
-pub const CHECKPOINT_CHECKSUM_LEN: usize = 8;
 
 /// Errors loading or storing a checkpoint. Every way a file can be wrong —
 /// torn, truncated, bit-flipped, or semantically invalid — maps to a typed
@@ -66,42 +48,8 @@ pub enum CheckpointError {
         /// The failing operation's error, rendered.
         message: String,
     },
-    /// Shorter than even an empty frame (header + checksum).
-    TooShort {
-        /// Actual file length in bytes.
-        len: usize,
-    },
-    /// The first eight bytes are not [`CHECKPOINT_MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 8],
-    },
-    /// The frame declares a format this build does not understand.
-    UnsupportedFormat {
-        /// The declared format version.
-        found: u32,
-    },
-    /// The declared payload length runs past the end of the file — a torn
-    /// (partially-written) frame.
-    Truncated {
-        /// Payload bytes the header declares.
-        declared: u64,
-        /// Payload bytes actually present.
-        available: u64,
-    },
-    /// Extra bytes follow the checksum.
-    TrailingBytes {
-        /// How many.
-        extra: u64,
-    },
-    /// The stored checksum does not match the frame's content — a flipped
-    /// bit or an overwritten region.
-    ChecksumMismatch {
-        /// Checksum stored in the frame.
-        stored: u64,
-        /// Checksum computed over the frame's bytes.
-        computed: u64,
-    },
+    /// The bytes are not an intact [`frame::CHECKPOINT`] frame.
+    Frame(FrameError),
     /// The frame is intact but the payload fails JSON/serde/semantic
     /// validation (including every invariant of [`bsom_som::BSom`]'s own
     /// validating deserializer).
@@ -115,32 +63,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io { message } => write!(f, "checkpoint io error: {message}"),
-            CheckpointError::TooShort { len } => write!(
-                f,
-                "checkpoint too short: {len} bytes < {} header + {} checksum",
-                CHECKPOINT_HEADER_LEN, CHECKPOINT_CHECKSUM_LEN
-            ),
-            CheckpointError::BadMagic { found } => {
-                write!(f, "checkpoint magic mismatch: found {found:02x?}")
-            }
-            CheckpointError::UnsupportedFormat { found } => write!(
-                f,
-                "checkpoint format {found} unsupported (this build reads {CHECKPOINT_FORMAT})"
-            ),
-            CheckpointError::Truncated {
-                declared,
-                available,
-            } => write!(
-                f,
-                "checkpoint truncated: header declares {declared} payload bytes, {available} present"
-            ),
-            CheckpointError::TrailingBytes { extra } => {
-                write!(f, "checkpoint has {extra} trailing bytes after the checksum")
-            }
-            CheckpointError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
+            CheckpointError::Frame(error) => write!(f, "checkpoint {error}"),
             CheckpointError::Invalid { message } => {
                 write!(f, "checkpoint payload invalid: {message}")
             }
@@ -150,11 +73,23 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
+impl From<FrameError> for CheckpointError {
+    fn from(error: FrameError) -> Self {
+        CheckpointError::Frame(error)
+    }
+}
+
+impl From<std::io::Error> for CheckpointError {
+    fn from(error: std::io::Error) -> Self {
+        let message = error.to_string();
+        CheckpointError::Io { message }
+    }
+}
+
 impl CheckpointError {
-    fn io(error: std::io::Error) -> Self {
-        CheckpointError::Io {
-            message: error.to_string(),
-        }
+    fn invalid(error: impl fmt::Display) -> Self {
+        let message = error.to_string();
+        CheckpointError::Invalid { message }
     }
 }
 
@@ -243,91 +178,14 @@ impl CheckpointDoc {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty to catch
-/// torn writes and bit flips (this is corruption *detection*, not an
-/// adversarial MAC).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-/// Wraps `payload` in the framed format: header, payload, checksum.
-pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame =
-        Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len() + CHECKPOINT_CHECKSUM_LEN);
-    frame.extend_from_slice(&CHECKPOINT_MAGIC);
-    frame.extend_from_slice(&CHECKPOINT_FORMAT.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let checksum = fnv1a64(&frame);
-    frame.extend_from_slice(&checksum.to_le_bytes());
-    frame
-}
-
-/// Validates the frame around `bytes` and returns the payload slice.
-pub(crate) fn decode_frame(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    if bytes.len() < CHECKPOINT_HEADER_LEN + CHECKPOINT_CHECKSUM_LEN {
-        return Err(CheckpointError::TooShort { len: bytes.len() });
-    }
-    if bytes[..8] != CHECKPOINT_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
-        return Err(CheckpointError::BadMagic { found });
-    }
-    let format = u32::from_le_bytes(
-        bytes[8..12]
-            .try_into()
-            .expect("slice of length 4 converts to [u8; 4]"),
-    );
-    if format != CHECKPOINT_FORMAT {
-        return Err(CheckpointError::UnsupportedFormat { found: format });
-    }
-    let declared = u64::from_le_bytes(
-        bytes[12..20]
-            .try_into()
-            .expect("slice of length 8 converts to [u8; 8]"),
-    );
-    let after_header = (bytes.len() - CHECKPOINT_HEADER_LEN - CHECKPOINT_CHECKSUM_LEN) as u64;
-    if declared > after_header {
-        return Err(CheckpointError::Truncated {
-            declared,
-            available: after_header,
-        });
-    }
-    if declared < after_header {
-        return Err(CheckpointError::TrailingBytes {
-            extra: after_header - declared,
-        });
-    }
-    let checksum_at = bytes.len() - CHECKPOINT_CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(
-        bytes[checksum_at..]
-            .try_into()
-            .expect("slice of length 8 converts to [u8; 8]"),
-    );
-    let computed = fnv1a64(&bytes[..checksum_at]);
-    if stored != computed {
-        return Err(CheckpointError::ChecksumMismatch { stored, computed });
-    }
-    Ok(&bytes[CHECKPOINT_HEADER_LEN..checksum_at])
-}
-
 /// Serialises `doc`, frames it, and commits it to `path` atomically:
 /// write `<path>.tmp` → `sync_all` → rename over `path`.
 pub(crate) fn write_doc(
     path: &Path,
     doc: &CheckpointDoc,
 ) -> Result<CheckpointInfo, CheckpointError> {
-    let payload = serde_json::to_string(doc).map_err(|error| CheckpointError::Invalid {
-        message: error.to_string(),
-    })?;
-    let frame = encode_frame(payload.as_bytes());
+    let payload = serde_json::to_string(doc).map_err(CheckpointError::invalid)?;
+    let frame = frame::CHECKPOINT.seal(1, None, payload.as_bytes());
     let file_name = path
         .file_name()
         .ok_or_else(|| CheckpointError::Io {
@@ -337,14 +195,14 @@ pub(crate) fn write_doc(
     let mut tmp_name = file_name;
     tmp_name.push(".tmp");
     let tmp_path = path.with_file_name(tmp_name);
-    let mut file = std::fs::File::create(&tmp_path).map_err(CheckpointError::io)?;
-    file.write_all(&frame).map_err(CheckpointError::io)?;
-    file.sync_all().map_err(CheckpointError::io)?;
+    let mut file = std::fs::File::create(&tmp_path)?;
+    file.write_all(&frame)?;
+    file.sync_all()?;
     drop(file);
     // A crash here (the failpoint's spot) leaves a complete `.tmp` beside an
     // untouched `path`: the previous checkpoint still loads.
     crate::faultpoint::hit("checkpoint.write");
-    std::fs::rename(&tmp_path, path).map_err(CheckpointError::io)?;
+    std::fs::rename(&tmp_path, path)?;
     Ok(CheckpointInfo {
         bytes: frame.len() as u64,
         version: doc.service_version,
@@ -354,15 +212,10 @@ pub(crate) fn write_doc(
 /// Reads, unframes, parses and validates the checkpoint at `path`.
 pub(crate) fn read_doc(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
     crate::faultpoint::hit("checkpoint.read");
-    let bytes = std::fs::read(path).map_err(CheckpointError::io)?;
-    let payload = decode_frame(&bytes)?;
-    let text = std::str::from_utf8(payload).map_err(|error| CheckpointError::Invalid {
-        message: format!("payload is not UTF-8: {error}"),
-    })?;
-    let doc: CheckpointDoc =
-        serde_json::from_str(text).map_err(|error| CheckpointError::Invalid {
-            message: error.to_string(),
-        })?;
+    let bytes = std::fs::read(path)?;
+    let payload = frame::CHECKPOINT.open_exact(&bytes)?.payload;
+    let text = std::str::from_utf8(payload).map_err(CheckpointError::invalid)?;
+    let doc: CheckpointDoc = serde_json::from_str(text).map_err(CheckpointError::invalid)?;
     doc.validate()?;
     Ok(doc)
 }
@@ -483,82 +336,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_roundtrip_and_every_field_of_the_header_is_checked() {
-        let payload = b"{\"hello\":1}";
-        let frame = encode_frame(payload);
-        assert_eq!(decode_frame(&frame).unwrap(), payload);
-
-        // Too short.
-        assert_eq!(
-            decode_frame(&frame[..CHECKPOINT_HEADER_LEN]),
-            Err(CheckpointError::TooShort {
-                len: CHECKPOINT_HEADER_LEN
-            })
-        );
-        // Bad magic.
-        let mut bad = frame.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(CheckpointError::BadMagic { .. })
-        ));
-        // Unsupported format.
-        let mut bad = frame.clone();
-        bad[8] = 0xEE;
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(CheckpointError::UnsupportedFormat { .. })
-        ));
-        // Truncated payload (frame cut inside the payload).
-        assert!(matches!(
-            decode_frame(&frame[..frame.len() - CHECKPOINT_CHECKSUM_LEN - 1]),
-            Err(CheckpointError::Truncated { .. })
-        ));
-        // Trailing bytes.
-        let mut long = frame.clone();
-        long.push(0);
-        assert!(matches!(
-            decode_frame(&long),
-            Err(CheckpointError::TrailingBytes { extra: 1 })
-        ));
-        // Flipped payload bit.
-        let mut flipped = frame.clone();
-        flipped[CHECKPOINT_HEADER_LEN + 2] ^= 0x10;
-        assert!(matches!(
-            decode_frame(&flipped),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn error_display_is_nonempty() {
         let errors = [
-            CheckpointError::Io {
-                message: "x".into(),
-            },
-            CheckpointError::TooShort { len: 1 },
-            CheckpointError::BadMagic { found: [0; 8] },
-            CheckpointError::UnsupportedFormat { found: 9 },
-            CheckpointError::Truncated {
-                declared: 10,
-                available: 2,
-            },
-            CheckpointError::TrailingBytes { extra: 3 },
-            CheckpointError::ChecksumMismatch {
-                stored: 1,
-                computed: 2,
-            },
-            CheckpointError::Invalid {
-                message: "y".into(),
-            },
+            CheckpointError::from(std::io::Error::other("x")),
+            CheckpointError::from(FrameError::TooShort { len: 1 }),
+            CheckpointError::invalid("y"),
         ];
         for error in errors {
             assert!(!error.to_string().is_empty());

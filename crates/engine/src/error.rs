@@ -134,6 +134,7 @@ impl From<CheckpointError> for EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameError;
 
     #[test]
     fn display_messages_are_nonempty_and_sources_chain() {
@@ -148,7 +149,7 @@ mod tests {
             },
             EngineError::TrainerPoisoned,
             EngineError::Som(SomError::EmptyTrainingSet),
-            EngineError::Checkpoint(CheckpointError::TooShort { len: 3 }),
+            EngineError::Checkpoint(CheckpointError::Frame(FrameError::TooShort { len: 3 })),
         ];
         for e in &errors {
             assert!(!e.to_string().is_empty());

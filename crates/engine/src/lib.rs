@@ -23,6 +23,8 @@
 //!   cadence, bounded-queue capacity.
 //! * [`checkpoint`] / [`SomService::resume_from_checkpoint`] — crash-safe
 //!   framed checkpoints with bit-identical training continuation;
+//!   [`frame`] is the one binary frame codec behind checkpoints, spill
+//!   files and the `bsom-serve` wire;
 //!   [`faultpoint`] is the deterministic fault-injection harness
 //!   (`fault-injection` feature) that proves the recovery paths.
 //! * [`EngineError`] / [`ServiceHealth`] — typed degradation (load
@@ -62,6 +64,7 @@
 pub mod checkpoint;
 pub mod error;
 pub mod faultpoint;
+pub mod frame;
 pub mod registry;
 pub mod registry_bench;
 pub mod service;

@@ -414,24 +414,35 @@ impl MapRegistry {
     }
 
     /// Removes a tenant, dropping its in-memory state, queued examples and
-    /// spill file. The freed slab slot is reused by the next create.
+    /// spill file. The freed slab slot is reused by the next create. The
+    /// spill file goes first: if deleting it fails, the tenant stays
+    /// registered so the call can be retried (a never-evicted tenant has no
+    /// file, which is fine).
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownTenant`].
+    /// [`EngineError::UnknownTenant`]; [`EngineError::Checkpoint`] with
+    /// [`CheckpointError::Io`](crate::CheckpointError::Io) when the spill
+    /// file exists but cannot be deleted.
     pub fn remove(&self, id: impl Into<TenantId>) -> Result<(), EngineError> {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
+        if let Some(path) = &inner.slot_mut(index).spill_path {
+            match std::fs::remove_file(path) {
+                Err(error) if error.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(EngineError::Checkpoint(error.into()));
+                }
+                _ => {}
+            }
+        }
         let slot = inner.slots[index]
             .take()
             .expect("indexed slots are occupied");
         inner.index.remove(&id);
         inner.free.push(index);
         drop(inner);
-        if let Some(path) = slot.spill_path {
-            let _ = std::fs::remove_file(path);
-        }
+        drop(slot);
         Ok(())
     }
 
@@ -1015,6 +1026,34 @@ mod tests {
         let after = lock_recovering(&registry.inner).slots.len();
         assert_eq!(before, after, "freed slab slots are reused, not appended");
         assert_eq!(registry.len(), 4);
+    }
+
+    #[test]
+    fn remove_keeps_the_tenant_when_its_spill_file_cannot_be_deleted() {
+        let dir = temp_dir("remove-fault");
+        let config = RegistryConfig::new(EngineConfig::with_workers(1)).with_spill_dir(&dir);
+        let registry = MapRegistry::new(config);
+        let som = BSom::new(BSomConfig::new(4, 64), &mut rng());
+        registry
+            .create_tenant("a", som, TrainSchedule::new(10), &[])
+            .unwrap();
+        // A directory where the spill file belongs: deleting it fails with
+        // an error other than NotFound.
+        let path = lock_recovering(&registry.inner)
+            .slot_mut(0)
+            .spill_path
+            .clone()
+            .unwrap();
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(matches!(
+            registry.remove("a"),
+            Err(EngineError::Checkpoint(crate::CheckpointError::Io { .. }))
+        ));
+        assert!(registry.contains("a"), "a failed remove keeps the tenant");
+        std::fs::remove_dir(&path).unwrap();
+        registry.remove("a").unwrap();
+        assert!(!registry.contains("a"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use bsom_engine::{CheckpointError, EngineConfig, SomService};
+use bsom_engine::{frame, CheckpointError, EngineConfig, SomService};
 use bsom_signature::BinaryVector;
 use bsom_som::{BSom, BSomConfig, ObjectLabel, TrainSchedule};
 use proptest::prelude::*;
@@ -125,18 +125,10 @@ fn the_pristine_frame_loads() {
     resume_bytes(pristine_frame()).expect("the uncorrupted frame must load");
 }
 
-/// Re-frames a payload the way the writer does (8-byte magic, u32 format,
-/// u64 length, payload, FNV-1a-64 over everything before it), so the
-/// checksum is valid for whatever the payload says.
-fn reframe(header: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut frame = header[..12].to_vec();
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let checksum = frame.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    frame.extend_from_slice(&checksum.to_le_bytes());
-    frame
+/// Re-frames a payload the way the writer does, so the checksum is valid
+/// for whatever the payload says.
+fn reframe(payload: &[u8]) -> Vec<u8> {
+    frame::CHECKPOINT.seal(1, None, payload)
 }
 
 /// Rewrites the word list of the first `"plane":{"words":[...]` in `json`.
@@ -167,7 +159,7 @@ fn checksum_valid_frames_with_tampered_planes_are_typed_errors() {
     ];
     for bad in &tampered {
         assert_ne!(bad, payload, "fixture must tamper the payload");
-        let outcome = resume_bytes(&reframe(frame, bad.as_bytes()));
+        let outcome = resume_bytes(&reframe(bad.as_bytes()));
         assert!(
             matches!(outcome, Err(CheckpointError::Invalid { .. })),
             "tampered planes must be CheckpointError::Invalid, got {outcome:?}"

@@ -5,8 +5,9 @@
 //! into a network service (ROADMAP north star: serving this workload at
 //! fleet scale).
 //!
-//! * [`wire`] — the hand-rolled, length-prefixed, FNV-1a-64-checksummed
-//!   frame format (the checkpoint frames' sibling). Malformed input is
+//! * [`wire`] — the message kinds and payloads of the length-prefixed,
+//!   FNV-1a-64-checksummed frames of [`bsom_engine::frame`], the codec the
+//!   checkpoint frames use too. Malformed input is
 //!   rejected as a typed [`WireError`], never a panic —
 //!   proptested by `tests/wire_corruption.rs`.
 //! * [`scheduler`] — the adaptive micro-batching scheduler: pipelined small

@@ -1,19 +1,12 @@
 //! The length-prefixed wire format of the serving front-end.
 //!
-//! Every message on a `bsom-serve` connection is one *frame*, laid out like
-//! the engine's checkpoint frames (`bsom_engine::checkpoint`) so the two
-//! formats share a fault model — see DESIGN.md §"The serving front-end" for
-//! the worked example:
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"BSOMWIRE"
-//! 8       4     format version, u32 LE (1 or 2)
-//! 12      1     message kind (see below)
-//! 13      8     payload length L, u64 LE
-//! 21      L     payload (kind-specific, fixed-width LE fields)
-//! 21+L    8     FNV-1a-64 checksum of bytes [0, 21+L), u64 LE
-//! ```
+//! Every message on a `bsom-serve` connection is one *frame* of the engine's
+//! single frame codec ([`bsom_engine::frame`]) under its [`frame::WIRE`]
+//! spec — magic `BSOMWIRE`, format 1 or 2, a message-kind byte, payload
+//! length, payload, FNV-1a-64 checksum — so wire messages, checkpoints and
+//! spill files share one fault model. DESIGN.md §"The serving front-end"
+//! works an example. This module owns only the message kinds and their
+//! payloads (kind-specific, fixed-width little-endian fields).
 //!
 //! Decoding never trusts the length prefix before bounding it
 //! ([`MAX_WIRE_PAYLOAD`]) and never panics on malformed input: every failure
@@ -42,27 +35,30 @@
 //! * This decoder accepts both formats; a format-1 frame simply has no
 //!   tenant field and routes to the default tenant.
 //! * An old (format-1-only) decoder rejects every format-2 frame with a
-//!   typed [`WireError::UnsupportedFormat`] before reading any payload —
+//!   typed [`FrameError::UnsupportedFormat`] before reading any payload —
 //!   emulated by [`decode_message_with_max_format`].
 
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use bsom_engine::frame::{self, Frame, FrameSpec};
 use bsom_signature::BinaryVector;
 use bsom_som::{ObjectLabel, Prediction};
 use serde::{Deserialize, Serialize};
 
+pub use bsom_engine::frame::{checksum, FrameError};
+
 /// Magic bytes opening every frame.
-pub const WIRE_MAGIC: [u8; 8] = *b"BSOMWIRE";
+pub const WIRE_MAGIC: [u8; 8] = frame::WIRE.magic;
 
 /// The baseline wire format version: no tenant addressing.
-pub const WIRE_FORMAT: u32 = 1;
+pub const WIRE_FORMAT: u32 = *frame::WIRE.formats.start();
 
 /// The tenant-addressed wire format version (see the [module docs](self)
 /// §"Format 2"). The encoder uses it only for messages format 1 cannot
 /// express; the decoder accepts both.
-pub const WIRE_FORMAT_TENANT: u32 = 2;
+pub const WIRE_FORMAT_TENANT: u32 = *frame::WIRE.formats.end();
 
 /// Longest tenant id (in UTF-8 bytes) a format-2 frame may carry.
 pub const MAX_TENANT_ID_BYTES: usize = 128;
@@ -72,33 +68,21 @@ pub const MAX_TRAIN_EXAMPLES: u32 = 4096;
 
 /// Fixed frame header length: magic (8) + format (4) + kind (1) + payload
 /// length (8).
-pub const WIRE_HEADER_LEN: usize = 21;
+pub const WIRE_HEADER_LEN: usize = frame::WIRE.header_len();
 
 /// Trailing checksum length.
-pub const WIRE_CHECKSUM_LEN: usize = 8;
+pub const WIRE_CHECKSUM_LEN: usize = frame::CHECKSUM_LEN;
 
 /// Hard upper bound on a frame's declared payload length. A length prefix
 /// above this is rejected *before* any allocation, so a corrupted or hostile
 /// prefix cannot drive an out-of-memory.
-pub const MAX_WIRE_PAYLOAD: u64 = 16 * 1024 * 1024;
+pub const MAX_WIRE_PAYLOAD: u64 = frame::WIRE.max_payload;
 
 /// Most signatures one classify request may carry.
 pub const MAX_REQUEST_SIGNATURES: u32 = 4096;
 
 /// Longest signature (in bits) a classify request may carry.
 pub const MAX_VECTOR_BITS: u32 = 1 << 16;
-
-/// FNV-1a-64 over `bytes` — the same checksum the checkpoint frames use
-/// (offset basis `0xcbf2_9ce4_8422_2325`, prime `0x100_0000_01b3`), kept
-/// `pub` so the worked example in DESIGN.md stays verifiable.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Message kinds (the `kind` header byte). Requests have the high bit
 /// clear, responses have it set.
@@ -117,58 +101,25 @@ mod kind {
     pub const ERROR_RESPONSE: u8 = 0x8F;
 }
 
+/// A [`WireError::Malformed`] with a `format!`-style detail.
+macro_rules! malformed {
+    ($($detail:tt)*) => {
+        WireError::Malformed { detail: format!($($detail)*) }
+    };
+}
+
 /// Why a frame failed to decode. Every malformed input maps to exactly one
 /// of these — the decoder never panics.
 #[derive(Debug)]
 pub enum WireError {
     /// The underlying stream failed.
     Io(io::Error),
-    /// Fewer bytes than a frame header.
-    TooShort {
-        /// Bytes available.
-        len: usize,
-    },
-    /// The first eight bytes are not [`WIRE_MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 8],
-    },
-    /// The format version is outside the decoder's supported range
-    /// ([`WIRE_FORMAT`]..=[`WIRE_FORMAT_TENANT`]).
-    UnsupportedFormat {
-        /// The version found.
-        found: u32,
-    },
+    /// The bytes are not an intact [`frame::WIRE`] frame.
+    Frame(FrameError),
     /// The kind byte names no known message.
     UnknownKind {
         /// The kind byte found.
         found: u8,
-    },
-    /// The length prefix exceeds [`MAX_WIRE_PAYLOAD`].
-    Oversized {
-        /// The declared payload length.
-        declared: u64,
-        /// The enforced maximum.
-        max: u64,
-    },
-    /// The buffer ends before the declared payload + checksum.
-    Truncated {
-        /// Bytes the frame claims to need.
-        declared: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// Bytes remain after a complete frame (exact-decode contexts only).
-    TrailingBytes {
-        /// Number of extra bytes.
-        extra: usize,
-    },
-    /// The trailing checksum does not match the frame contents.
-    ChecksumMismatch {
-        /// Checksum stored in the frame.
-        stored: u64,
-        /// Checksum computed over the frame.
-        computed: u64,
     },
     /// The payload is structurally invalid for its kind.
     Malformed {
@@ -181,40 +132,8 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Io(e) => write!(f, "wire i/o error: {e}"),
-            WireError::TooShort { len } => {
-                write!(
-                    f,
-                    "{len} bytes is shorter than a {WIRE_HEADER_LEN}-byte frame header"
-                )
-            }
-            WireError::BadMagic { found } => write!(f, "bad frame magic {found:02x?}"),
-            WireError::UnsupportedFormat { found } => {
-                write!(
-                    f,
-                    "unsupported wire format {found} (expected {WIRE_FORMAT}..={WIRE_FORMAT_TENANT})"
-                )
-            }
+            WireError::Frame(e) => write!(f, "wire {e}"),
             WireError::UnknownKind { found } => write!(f, "unknown message kind {found:#04x}"),
-            WireError::Oversized { declared, max } => {
-                write!(
-                    f,
-                    "declared payload of {declared} bytes exceeds the {max}-byte cap"
-                )
-            }
-            WireError::Truncated {
-                declared,
-                available,
-            } => write!(
-                f,
-                "frame needs {declared} bytes but only {available} are available"
-            ),
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} bytes of trailing garbage after the frame")
-            }
-            WireError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "frame checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
             WireError::Malformed { detail } => write!(f, "malformed payload: {detail}"),
         }
     }
@@ -235,32 +154,32 @@ impl From<io::Error> for WireError {
     }
 }
 
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        WireError::Frame(e)
+    }
+}
+
 /// Machine-readable code carried by an [`WireMessage::ErrorResponse`].
+/// The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The request frame decoded but was semantically unusable.
-    Malformed,
+    Malformed = 1,
     /// The server is draining and no longer accepts classify requests.
-    Draining,
+    Draining = 2,
     /// An internal failure (e.g. the worker pool shut down mid-request).
-    Internal,
+    Internal = 3,
 }
 
 impl ErrorCode {
-    fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::Malformed => 1,
-            ErrorCode::Draining => 2,
-            ErrorCode::Internal => 3,
-        }
-    }
-
     fn from_byte(byte: u8) -> Result<Self, WireError> {
         match byte {
             1 => Ok(ErrorCode::Malformed),
             2 => Ok(ErrorCode::Draining),
             3 => Ok(ErrorCode::Internal),
-            other => Err(malformed(format!("unknown error code {other}"))),
+            other => Err(malformed!("unknown error code {other}")),
         }
     }
 }
@@ -386,12 +305,6 @@ pub enum WireMessage {
     },
 }
 
-fn malformed(detail: impl Into<String>) -> WireError {
-    WireError::Malformed {
-        detail: detail.into(),
-    }
-}
-
 /// A little-endian payload writer over a `Vec<u8>`.
 struct Enc(Vec<u8>);
 
@@ -409,6 +322,14 @@ impl Enc {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
+    fn bool(&mut self, v: bool) {
+        self.0.push(u8::from(v));
+    }
+    fn words(&mut self, signature: &BinaryVector) {
+        for &word in signature.as_words() {
+            self.u64(word);
+        }
+    }
 }
 
 /// A bounds-checked little-endian payload reader.
@@ -418,16 +339,12 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| malformed("payload field runs past the payload end"))?;
+            .ok_or_else(|| malformed!("payload field runs past the payload end"))?;
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
@@ -438,75 +355,132 @@ impl<'a> Dec<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
+    /// A `u32`-length-prefixed UTF-8 string of at most `max` bytes.
+    fn str(&mut self, max: usize) -> Result<String, WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string field is not utf-8"))
+        if len > max {
+            return Err(malformed!("{len}-byte string exceeds the {max}-byte cap"));
+        }
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| malformed!("string is not utf-8"))
+    }
+
+    /// A flag byte: exactly 0 or 1, so every accepted frame re-encodes to
+    /// the same bytes.
+    fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(malformed!("non-canonical flag byte {other}")),
+        }
+    }
+
+    /// The tenant id: `None` for a format-1 frame or the length-0 default.
+    fn tenant(&mut self, format: u32) -> Result<Option<String>, WireError> {
+        if format < WIRE_FORMAT_TENANT {
+            return Ok(None);
+        }
+        Ok(Some(self.str(MAX_TENANT_ID_BYTES)?).filter(|id| !id.is_empty()))
+    }
+
+    /// A signature block's header: the `noun` count (at most `cap`), then
+    /// the vector length every signature in the block shares.
+    fn block_header(&mut self, cap: u32, noun: &str) -> Result<(u32, usize), WireError> {
+        let count = self.u32()?;
+        if count > cap {
+            return Err(malformed!(
+                "{count} {noun}s exceeds the per-request cap of {cap}"
+            ));
+        }
+        let vector_len = self.u32()?;
+        if vector_len > MAX_VECTOR_BITS {
+            return Err(malformed!(
+                "{vector_len}-bit signatures exceed the {MAX_VECTOR_BITS}-bit cap"
+            ));
+        }
+        Ok((count, vector_len as usize))
+    }
+
+    /// One `len`-bit signature as packed little-endian words, adopted
+    /// without repacking; set tail bits are rejected, not masked.
+    fn signature(&mut self, len: usize, noun: &str, index: u32) -> Result<BinaryVector, WireError> {
+        let words = self
+            .take(len.div_ceil(64) * 8)?
+            .chunks_exact(8)
+            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
+            .collect();
+        BinaryVector::from_words(words, len)
+            .map_err(|e| malformed!("{noun} {index} violates the packing invariant: {e}"))
     }
 
     fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} unread bytes at the payload end",
-                self.bytes.len() - self.pos
-            )))
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            unread => Err(malformed!("{unread} unread bytes at the payload end")),
         }
     }
 }
 
-/// Writes the format-2 tenant-id prefix: `u32` length, then the UTF-8
-/// bytes. `None` — the default tenant — encodes as length 0.
+/// Writes the format-2 tenant-id prefix (length 0 for the default tenant)
+/// unless format 1 can express the message, and returns the frame format.
 ///
 /// # Panics
 ///
 /// Panics if the id is empty (spell the default tenant as `None`) or longer
 /// than [`MAX_TENANT_ID_BYTES`] — both are caller bugs, not wire conditions.
-fn encode_tenant(enc: &mut Enc, tenant: &Option<String>) {
+fn encode_tenant(enc: &mut Enc, tenant: Option<&str>, required: bool) -> u32 {
     match tenant {
+        None if !required => return WIRE_FORMAT,
         None => enc.u32(0),
         Some(id) => {
             assert!(
-                !id.is_empty(),
-                "empty tenant id: spell the default tenant as None"
-            );
-            assert!(
-                id.len() <= MAX_TENANT_ID_BYTES,
-                "tenant id of {} bytes exceeds the {MAX_TENANT_ID_BYTES}-byte cap",
+                (1..=MAX_TENANT_ID_BYTES).contains(&id.len()),
+                "tenant id of {} bytes is outside 1..={MAX_TENANT_ID_BYTES} (the default tenant is None)",
                 id.len()
             );
             enc.str(id);
         }
     }
+    WIRE_FORMAT_TENANT
 }
 
-/// Reads the format-2 tenant-id prefix; length 0 decodes as `None`.
-fn decode_tenant(dec: &mut Dec<'_>) -> Result<Option<String>, WireError> {
-    let len = dec.u32()? as usize;
-    if len == 0 {
-        return Ok(None);
+/// Writes a signature block's count and its one vector length.
+///
+/// # Panics
+///
+/// Panics if the signatures differ in length, a caller bug.
+fn encode_block_header<'a>(
+    enc: &mut Enc,
+    signatures: impl ExactSizeIterator<Item = &'a BinaryVector>,
+) {
+    let mut lens = signatures.map(BinaryVector::len);
+    enc.u32(lens.len() as u32);
+    let vector_len = lens.next().unwrap_or(0);
+    assert!(
+        lens.all(|len| len == vector_len),
+        "signatures of one request must share a vector length (the first has {vector_len} bits)"
+    );
+    enc.u32(vector_len as u32);
+}
+
+/// Writes a classify request payload and returns its frame format.
+fn encode_classify(enc: &mut Enc, tenant: Option<&str>, signatures: &[BinaryVector]) -> u32 {
+    let format = encode_tenant(enc, tenant, false);
+    encode_block_header(enc, signatures.iter());
+    for signature in signatures {
+        enc.words(signature);
     }
-    if len > MAX_TENANT_ID_BYTES {
-        return Err(malformed(format!(
-            "tenant id of {len} bytes exceeds the {MAX_TENANT_ID_BYTES}-byte cap"
-        )));
-    }
-    let bytes = dec.take(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map(Some)
-        .map_err(|_| malformed("tenant id is not utf-8"))
+    format
 }
 
 /// Encodes a message's payload, returning `(kind, payload, format)`. The
@@ -518,41 +492,22 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
     let mut format = WIRE_FORMAT;
     let kind = match message {
         WireMessage::ClassifyRequest { tenant, signatures } => {
-            if tenant.is_some() {
-                format = WIRE_FORMAT_TENANT;
-                encode_tenant(&mut enc, tenant);
-            }
-            enc.u32(signatures.len() as u32);
-            let vector_len = signatures.first().map(|s| s.len()).unwrap_or(0);
-            enc.u32(vector_len as u32);
-            for signature in signatures {
-                for &word in signature.as_words() {
-                    enc.u64(word);
-                }
-            }
+            format = encode_classify(&mut enc, tenant.as_deref(), signatures);
             kind::CLASSIFY_REQUEST
         }
         WireMessage::HealthRequest => kind::HEALTH_REQUEST,
         WireMessage::DrainRequest { tenant } => {
-            if tenant.is_some() {
-                format = WIRE_FORMAT_TENANT;
-                encode_tenant(&mut enc, tenant);
-            }
+            format = encode_tenant(&mut enc, tenant.as_deref(), false);
             kind::DRAIN_REQUEST
         }
         WireMessage::TrainRequest { tenant, examples } => {
             // Train kinds do not exist in format 1, so the prefix is always
             // present (length 0 for the default tenant).
-            format = WIRE_FORMAT_TENANT;
-            encode_tenant(&mut enc, tenant);
-            enc.u32(examples.len() as u32);
-            let vector_len = examples.first().map(|(s, _)| s.len()).unwrap_or(0);
-            enc.u32(vector_len as u32);
+            format = encode_tenant(&mut enc, tenant.as_deref(), true);
+            encode_block_header(&mut enc, examples.iter().map(|(signature, _)| signature));
             for (signature, label) in examples {
                 enc.u64(*label);
-                for &word in signature.as_words() {
-                    enc.u64(word);
-                }
+                enc.words(signature);
             }
             kind::TRAIN_REQUEST
         }
@@ -564,21 +519,19 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
         WireMessage::ClassifyResponse { predictions } => {
             enc.u32(predictions.len() as u32);
             for prediction in predictions {
-                match prediction {
-                    Prediction::Unknown => enc.u8(0),
-                    Prediction::Known {
-                        label,
-                        neuron,
-                        distance,
-                    } => {
-                        enc.u8(1);
-                        enc.u64(label.id() as u64);
-                        enc.u64(*neuron as u64);
-                        // Bit-exact: the f64 travels as its raw bits, so a
-                        // wire round-trip is bit-identical to the in-process
-                        // prediction.
-                        enc.u64(distance.to_bits());
-                    }
+                enc.bool(prediction.is_known());
+                if let Prediction::Known {
+                    label,
+                    neuron,
+                    distance,
+                } = prediction
+                {
+                    enc.u64(label.id() as u64);
+                    enc.u64(*neuron as u64);
+                    // Bit-exact: the f64 travels as its raw bits, so a
+                    // wire round-trip is bit-identical to the in-process
+                    // prediction.
+                    enc.u64(distance.to_bits());
                 }
             }
             kind::CLASSIFY_RESPONSE
@@ -598,19 +551,16 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
             enc.u64(health.signatures_dispatched);
             enc.u64(health.requests_shed);
             enc.u64(health.coalesce_delay_micros);
-            enc.u8(u8::from(health.draining));
-            match &health.last_panic {
-                None => enc.u8(0),
-                Some(message) => {
-                    enc.u8(1);
-                    enc.str(message);
-                }
+            enc.bool(health.draining);
+            enc.bool(health.last_panic.is_some());
+            if let Some(message) = &health.last_panic {
+                enc.str(message);
             }
             kind::HEALTH_RESPONSE
         }
         WireMessage::DrainResponse(summary) => {
             enc.u64(summary.requests_flushed);
-            enc.u8(u8::from(summary.checkpoint_written));
+            enc.bool(summary.checkpoint_written);
             enc.u64(summary.final_version);
             kind::DRAIN_RESPONSE
         }
@@ -623,7 +573,7 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
             kind::OVERLOADED_RESPONSE
         }
         WireMessage::ErrorResponse { code, message } => {
-            enc.u8(code.to_byte());
+            enc.u8(*code as u8);
             enc.str(message);
             kind::ERROR_RESPONSE
         }
@@ -631,92 +581,34 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
     (kind, enc.0, format)
 }
 
-fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, WireError> {
-    let mut dec = Dec::new(payload);
-    let message = match kind {
+/// Decodes the payload of a checked frame according to its kind.
+fn decode_payload(frame: Frame<'_>) -> Result<WireMessage, WireError> {
+    let format = frame.format;
+    let mut dec = Dec {
+        bytes: frame.payload,
+        pos: 0,
+    };
+    let message = match frame.kind.expect("wire frames carry a kind byte") {
         kind::CLASSIFY_REQUEST => {
-            let tenant = if format >= WIRE_FORMAT_TENANT {
-                decode_tenant(&mut dec)?
-            } else {
-                None
-            };
-            let count = dec.u32()?;
-            if count > MAX_REQUEST_SIGNATURES {
-                return Err(malformed(format!(
-                    "{count} signatures exceeds the per-request cap of {MAX_REQUEST_SIGNATURES}"
-                )));
-            }
-            let vector_len = dec.u32()?;
-            if vector_len > MAX_VECTOR_BITS {
-                return Err(malformed(format!(
-                    "{vector_len}-bit signatures exceed the {MAX_VECTOR_BITS}-bit cap"
-                )));
-            }
-            let words_per = (vector_len as usize).div_ceil(64);
+            let tenant = dec.tenant(format)?;
+            let (count, vector_len) = dec.block_header(MAX_REQUEST_SIGNATURES, "signature")?;
             let mut signatures = Vec::with_capacity(count as usize);
             for index in 0..count {
-                let raw = dec.take(words_per * 8)?;
-                let words: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|chunk| {
-                        let mut bytes = [0u8; 8];
-                        bytes.copy_from_slice(chunk);
-                        u64::from_le_bytes(bytes)
-                    })
-                    .collect();
-                let signature =
-                    BinaryVector::from_words(words, vector_len as usize).map_err(|e| {
-                        malformed(format!(
-                            "signature {index} violates the packing invariant: {e}"
-                        ))
-                    })?;
-                signatures.push(signature);
+                signatures.push(dec.signature(vector_len, "signature", index)?);
             }
             WireMessage::ClassifyRequest { tenant, signatures }
         }
         kind::HEALTH_REQUEST => WireMessage::HealthRequest,
-        kind::DRAIN_REQUEST => {
-            let tenant = if format >= WIRE_FORMAT_TENANT {
-                decode_tenant(&mut dec)?
-            } else {
-                None
-            };
-            WireMessage::DrainRequest { tenant }
-        }
+        kind::DRAIN_REQUEST => WireMessage::DrainRequest {
+            tenant: dec.tenant(format)?,
+        },
         kind::TRAIN_REQUEST if format >= WIRE_FORMAT_TENANT => {
-            let tenant = decode_tenant(&mut dec)?;
-            let count = dec.u32()?;
-            if count > MAX_TRAIN_EXAMPLES {
-                return Err(malformed(format!(
-                    "{count} examples exceeds the per-request cap of {MAX_TRAIN_EXAMPLES}"
-                )));
-            }
-            let vector_len = dec.u32()?;
-            if vector_len > MAX_VECTOR_BITS {
-                return Err(malformed(format!(
-                    "{vector_len}-bit signatures exceed the {MAX_VECTOR_BITS}-bit cap"
-                )));
-            }
-            let words_per = (vector_len as usize).div_ceil(64);
+            let tenant = dec.tenant(format)?;
+            let (count, vector_len) = dec.block_header(MAX_TRAIN_EXAMPLES, "example")?;
             let mut examples = Vec::with_capacity(count as usize);
             for index in 0..count {
                 let label = dec.u64()?;
-                let raw = dec.take(words_per * 8)?;
-                let words: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|chunk| {
-                        let mut bytes = [0u8; 8];
-                        bytes.copy_from_slice(chunk);
-                        u64::from_le_bytes(bytes)
-                    })
-                    .collect();
-                let signature =
-                    BinaryVector::from_words(words, vector_len as usize).map_err(|e| {
-                        malformed(format!(
-                            "example {index} violates the packing invariant: {e}"
-                        ))
-                    })?;
-                examples.push((signature, label));
+                examples.push((dec.signature(vector_len, "example", index)?, label));
             }
             WireMessage::TrainRequest { tenant, examples }
         }
@@ -726,54 +618,48 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
         kind::CLASSIFY_RESPONSE => {
             let count = dec.u32()?;
             if count > MAX_REQUEST_SIGNATURES {
-                return Err(malformed(format!(
-                    "{count} predictions exceeds the per-request cap of {MAX_REQUEST_SIGNATURES}"
-                )));
+                let cap = MAX_REQUEST_SIGNATURES;
+                return Err(malformed!(
+                    "{count} predictions exceeds the per-request cap of {cap}"
+                ));
             }
             let mut predictions = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let prediction = match dec.u8()? {
-                    0 => Prediction::Unknown,
-                    1 => Prediction::Known {
+                predictions.push(match dec.bool()? {
+                    false => Prediction::Unknown,
+                    true => Prediction::Known {
                         label: ObjectLabel::new(dec.u64()? as usize),
                         neuron: dec.u64()? as usize,
                         distance: f64::from_bits(dec.u64()?),
                     },
-                    other => return Err(malformed(format!("unknown prediction tag {other}"))),
-                };
-                predictions.push(prediction);
+                });
             }
             WireMessage::ClassifyResponse { predictions }
         }
-        kind::HEALTH_RESPONSE => {
-            let mut health = WireHealth {
-                snapshot_version: dec.u64()?,
-                workers_configured: dec.u64()?,
-                workers_alive: dec.u64()?,
-                engine_queue_depth: dec.u64()?,
-                engine_queue_capacity: dec.u64()?,
-                worker_panics: dec.u64()?,
-                worker_respawns: dec.u64()?,
-                scheduler_pending: dec.u64()?,
-                scheduler_capacity: dec.u64()?,
-                batches_dispatched: dec.u64()?,
-                requests_coalesced: dec.u64()?,
-                signatures_dispatched: dec.u64()?,
-                requests_shed: dec.u64()?,
-                coalesce_delay_micros: dec.u64()?,
-                draining: dec.u8()? != 0,
-                last_panic: None,
-            };
-            health.last_panic = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.str()?),
-                other => return Err(malformed(format!("unknown last-panic tag {other}"))),
-            };
-            WireMessage::HealthResponse(Box::new(health))
-        }
+        kind::HEALTH_RESPONSE => WireMessage::HealthResponse(Box::new(WireHealth {
+            snapshot_version: dec.u64()?,
+            workers_configured: dec.u64()?,
+            workers_alive: dec.u64()?,
+            engine_queue_depth: dec.u64()?,
+            engine_queue_capacity: dec.u64()?,
+            worker_panics: dec.u64()?,
+            worker_respawns: dec.u64()?,
+            scheduler_pending: dec.u64()?,
+            scheduler_capacity: dec.u64()?,
+            batches_dispatched: dec.u64()?,
+            requests_coalesced: dec.u64()?,
+            signatures_dispatched: dec.u64()?,
+            requests_shed: dec.u64()?,
+            coalesce_delay_micros: dec.u64()?,
+            draining: dec.bool()?,
+            last_panic: match dec.bool()? {
+                false => None,
+                true => Some(dec.str(usize::MAX)?),
+            },
+        })),
         kind::DRAIN_RESPONSE => WireMessage::DrainResponse(DrainSummary {
             requests_flushed: dec.u64()?,
-            checkpoint_written: dec.u8()? != 0,
+            checkpoint_written: dec.bool()?,
             final_version: dec.u64()?,
         }),
         kind::OVERLOADED_RESPONSE => WireMessage::OverloadedResponse {
@@ -782,7 +668,7 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
         },
         kind::ERROR_RESPONSE => WireMessage::ErrorResponse {
             code: ErrorCode::from_byte(dec.u8()?)?,
-            message: dec.str()?,
+            message: dec.str(usize::MAX)?,
         },
         other => return Err(WireError::UnknownKind { found: other }),
     };
@@ -790,31 +676,26 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
     Ok(message)
 }
 
-/// Seals `payload` into a complete frame: header (stamped with `format`),
-/// payload, checksum.
-fn seal_frame(format: u32, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(WIRE_HEADER_LEN + payload.len() + WIRE_CHECKSUM_LEN);
-    frame.extend_from_slice(&WIRE_MAGIC);
-    frame.extend_from_slice(&format.to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = checksum(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
-}
-
 /// Encodes `message` into one complete frame (header + payload + checksum).
 /// The frame is stamped format 1 unless the message needs tenant addressing
 /// (see `encode_payload`).
+///
+/// # Panics
+///
+/// Panics on caller bugs: an empty or over-long tenant id, or a classify or
+/// train request whose signatures differ in length.
 pub fn encode_message(message: &WireMessage) -> Vec<u8> {
     let (kind, payload, format) = encode_payload(message);
-    seal_frame(format, kind, &payload)
+    frame::WIRE.seal(format, Some(kind), &payload)
 }
 
 /// Encodes a default-tenant classify request straight from a signature
 /// slice — no intermediate [`WireMessage`], so load generators can
 /// pre-encode frames once and replay them.
+///
+/// # Panics
+///
+/// Panics if the signatures differ in length.
 pub fn encode_classify_request(signatures: &[BinaryVector]) -> Vec<u8> {
     encode_classify_request_for(None, signatures)
 }
@@ -826,54 +707,11 @@ pub fn encode_classify_request(signatures: &[BinaryVector]) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if `tenant` is `Some` of an empty or over-long
-/// (> [`MAX_TENANT_ID_BYTES`]) id — caller bugs, not wire conditions.
+/// (> [`MAX_TENANT_ID_BYTES`]) id, or if the signatures differ in length.
 pub fn encode_classify_request_for(tenant: Option<&str>, signatures: &[BinaryVector]) -> Vec<u8> {
     let mut enc = Enc(Vec::new());
-    let format = match tenant {
-        None => WIRE_FORMAT,
-        Some(id) => {
-            encode_tenant(&mut enc, &Some(id.to_string()));
-            WIRE_FORMAT_TENANT
-        }
-    };
-    enc.u32(signatures.len() as u32);
-    let vector_len = signatures.first().map(|s| s.len()).unwrap_or(0);
-    enc.u32(vector_len as u32);
-    for signature in signatures {
-        for &word in signature.as_words() {
-            enc.u64(word);
-        }
-    }
-    seal_frame(format, kind::CLASSIFY_REQUEST, &enc.0)
-}
-
-/// Validates a frame header, returning `(format, kind, payload_len)`.
-/// `max_format` bounds the accepted format range — [`WIRE_FORMAT_TENANT`]
-/// for this decoder, [`WIRE_FORMAT`] to emulate a pre-tenant peer.
-fn decode_header(
-    header: &[u8; WIRE_HEADER_LEN],
-    max_format: u32,
-) -> Result<(u32, u8, usize), WireError> {
-    if header[..8] != WIRE_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&header[..8]);
-        return Err(WireError::BadMagic { found });
-    }
-    let format = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if format < WIRE_FORMAT || format > max_format {
-        return Err(WireError::UnsupportedFormat { found: format });
-    }
-    let kind = header[12];
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&header[13..21]);
-    let declared = u64::from_le_bytes(len_bytes);
-    if declared > MAX_WIRE_PAYLOAD {
-        return Err(WireError::Oversized {
-            declared,
-            max: MAX_WIRE_PAYLOAD,
-        });
-    }
-    Ok((format, kind, declared as usize))
+    let format = encode_classify(&mut enc, tenant, signatures);
+    frame::WIRE.seal(format, Some(kind::CLASSIFY_REQUEST), &enc.0)
 }
 
 /// Decodes one frame from the front of `bytes`, returning the message and
@@ -884,95 +722,34 @@ pub fn decode_message(bytes: &[u8]) -> Result<(WireMessage, usize), WireError> {
 
 /// [`decode_message`] with an explicit format ceiling: passing
 /// [`WIRE_FORMAT`] emulates a pre-tenant decoder, which must reject every
-/// format-2 frame with a typed [`WireError::UnsupportedFormat`] *before*
+/// format-2 frame with a typed [`FrameError::UnsupportedFormat`] *before*
 /// touching the payload — the backward-compatibility contract the
 /// cross-decode matrix in `tests/wire_corruption.rs` pins down.
 pub fn decode_message_with_max_format(
     bytes: &[u8],
     max_format: u32,
 ) -> Result<(WireMessage, usize), WireError> {
-    if bytes.len() < WIRE_HEADER_LEN {
-        return Err(WireError::TooShort { len: bytes.len() });
-    }
-    let mut header = [0u8; WIRE_HEADER_LEN];
-    header.copy_from_slice(&bytes[..WIRE_HEADER_LEN]);
-    let (format, kind, payload_len) = decode_header(&header, max_format)?;
-    let total = WIRE_HEADER_LEN + payload_len + WIRE_CHECKSUM_LEN;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            declared: total,
-            available: bytes.len(),
-        });
-    }
-    let body = &bytes[..WIRE_HEADER_LEN + payload_len];
-    let mut stored_bytes = [0u8; 8];
-    stored_bytes.copy_from_slice(&bytes[WIRE_HEADER_LEN + payload_len..total]);
-    let stored = u64::from_le_bytes(stored_bytes);
-    let computed = checksum(body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-    let message = decode_payload(format, kind, &body[WIRE_HEADER_LEN..])?;
-    Ok((message, total))
+    let spec = FrameSpec {
+        formats: WIRE_FORMAT..=max_format,
+        ..frame::WIRE
+    };
+    let frame = spec.open(bytes)?;
+    Ok((decode_payload(frame)?, frame.len))
 }
 
 /// Decodes a buffer that must hold exactly one frame; trailing bytes are
-/// rejected ([`WireError::TrailingBytes`]).
+/// rejected ([`FrameError::TrailingBytes`]).
 pub fn decode_message_exact(bytes: &[u8]) -> Result<WireMessage, WireError> {
-    let (message, consumed) = decode_message(bytes)?;
-    if consumed != bytes.len() {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - consumed,
-        });
-    }
-    Ok(message)
+    decode_payload(frame::WIRE.open_exact(bytes)?)
 }
 
 /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer closed between messages); an EOF anywhere inside
-/// a frame is [`WireError::Truncated`].
+/// a frame is [`FrameError::Truncated`].
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Option<WireMessage>, WireError> {
-    let mut header = [0u8; WIRE_HEADER_LEN];
-    let mut filled = 0;
-    while filled < WIRE_HEADER_LEN {
-        match reader.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    declared: WIRE_HEADER_LEN,
-                    available: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let (format, kind, payload_len) = decode_header(&header, WIRE_FORMAT_TENANT)?;
-    let mut rest = vec![0u8; payload_len + WIRE_CHECKSUM_LEN];
-    reader.read_exact(&mut rest).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated {
-                declared: WIRE_HEADER_LEN + payload_len + WIRE_CHECKSUM_LEN,
-                available: WIRE_HEADER_LEN,
-            }
-        } else {
-            WireError::Io(e)
-        }
-    })?;
-    let stored = {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&rest[payload_len..]);
-        u64::from_le_bytes(bytes)
-    };
-    let mut body = Vec::with_capacity(WIRE_HEADER_LEN + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..payload_len]);
-    let computed = checksum(&body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-    decode_payload(format, kind, &body[WIRE_HEADER_LEN..]).map(Some)
+    let mut buf = Vec::new();
+    let frame = frame::WIRE.read::<_, WireError>(reader, &mut buf)?;
+    frame.map(decode_payload).transpose()
 }
 
 /// Writes one frame to a stream.
@@ -1151,7 +928,7 @@ mod tests {
         });
         assert!(matches!(
             decode_message_with_max_format(&frame, WIRE_FORMAT),
-            Err(WireError::UnsupportedFormat { found: 2 })
+            Err(WireError::Frame(FrameError::UnsupportedFormat { found: 2 }))
         ));
     }
 
@@ -1165,7 +942,7 @@ mod tests {
             .extend(std::iter::repeat_n(b'a', MAX_TENANT_ID_BYTES + 1));
         enc.u32(0); // count
         enc.u32(0); // vector_len
-        let frame = seal_frame(WIRE_FORMAT_TENANT, 0x01, &enc.0);
+        let frame = frame::WIRE.seal(WIRE_FORMAT_TENANT, Some(0x01), &enc.0);
         assert!(matches!(
             decode_message_exact(&frame),
             Err(WireError::Malformed { .. })
@@ -1176,12 +953,12 @@ mod tests {
     fn train_kinds_are_unknown_in_format_1_frames() {
         // A format-1 frame carrying a train kind is a protocol violation:
         // the kind does not exist below format 2.
-        let frame = seal_frame(WIRE_FORMAT, 0x04, &[]);
+        let frame = frame::WIRE.seal(WIRE_FORMAT, Some(0x04), &[]);
         assert!(matches!(
             decode_message_exact(&frame),
             Err(WireError::UnknownKind { found: 0x04 })
         ));
-        let frame = seal_frame(WIRE_FORMAT, 0x84, &[]);
+        let frame = frame::WIRE.seal(WIRE_FORMAT, Some(0x84), &[]);
         assert!(matches!(
             decode_message_exact(&frame),
             Err(WireError::UnknownKind { found: 0x84 })
@@ -1211,12 +988,12 @@ mod tests {
         frame[13..21].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             decode_message(&frame),
-            Err(WireError::Oversized { .. })
+            Err(WireError::Frame(FrameError::Oversized { .. }))
         ));
         let mut cursor = std::io::Cursor::new(frame);
         assert!(matches!(
             read_message(&mut cursor),
-            Err(WireError::Oversized { .. })
+            Err(WireError::Frame(FrameError::Oversized { .. }))
         ));
     }
 
@@ -1245,10 +1022,19 @@ mod tests {
     }
 
     #[test]
-    fn checksum_matches_the_documented_fnv_vectors() {
-        // Standard FNV-1a-64 test vectors.
-        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(checksum(b"foobar"), 0x8594_4171_f739_67e8);
+    #[should_panic(expected = "share a vector length")]
+    fn mixed_length_classify_batches_are_a_caller_bug() {
+        let lengths = [128, 64, 192];
+        encode_classify_request(&lengths.map(BinaryVector::zeros));
+    }
+
+    #[test]
+    #[should_panic(expected = "share a vector length")]
+    fn mixed_length_train_batches_are_a_caller_bug() {
+        let examples = vec![(BinaryVector::zeros(128), 0), (BinaryVector::zeros(64), 1)];
+        encode_message(&WireMessage::TrainRequest {
+            tenant: None,
+            examples,
+        });
     }
 }

@@ -9,10 +9,11 @@
 
 use std::io::Cursor;
 
+use bsom_engine::frame;
 use bsom_serve::wire::{
     self, checksum, decode_message, decode_message_exact, decode_message_with_max_format,
-    encode_message, read_message, WireError, WireMessage, MAX_WIRE_PAYLOAD, WIRE_CHECKSUM_LEN,
-    WIRE_FORMAT, WIRE_FORMAT_TENANT, WIRE_HEADER_LEN,
+    encode_message, read_message, FrameError, WireError, WireMessage, MAX_WIRE_PAYLOAD,
+    WIRE_CHECKSUM_LEN, WIRE_FORMAT, WIRE_FORMAT_TENANT, WIRE_HEADER_LEN,
 };
 use bsom_signature::BinaryVector;
 use proptest::prelude::*;
@@ -96,12 +97,12 @@ fn every_single_bit_flip_is_rejected() {
             // Spot-check the typed-ness of a few structurally distinct zones.
             if byte < 8 {
                 assert!(
-                    matches!(err, WireError::BadMagic { .. }),
+                    matches!(err, WireError::Frame(FrameError::BadMagic { .. })),
                     "byte {byte}: {err}"
                 );
             } else if byte >= frame.len() - WIRE_CHECKSUM_LEN {
                 assert!(
-                    matches!(err, WireError::ChecksumMismatch { .. }),
+                    matches!(err, WireError::Frame(FrameError::ChecksumMismatch { .. })),
                     "byte {byte}: {err}"
                 );
             }
@@ -123,7 +124,7 @@ fn every_single_bit_flip_of_a_format_2_frame_is_rejected() {
                     .expect_err(&format!("flip of byte {byte} bit {bit} must not decode"));
                 if byte < 8 {
                     assert!(
-                        matches!(err, WireError::BadMagic { .. }),
+                        matches!(err, WireError::Frame(FrameError::BadMagic { .. })),
                         "byte {byte}: {err}"
                     );
                 } else if (8..12).contains(&byte) {
@@ -132,12 +133,12 @@ fn every_single_bit_flip_of_a_format_2_frame_is_rejected() {
                     // every flip is an unsupported format — caught before
                     // the checksum is even computed.
                     assert!(
-                        matches!(err, WireError::UnsupportedFormat { .. }),
+                        matches!(err, WireError::Frame(FrameError::UnsupportedFormat { .. })),
                         "byte {byte}: {err}"
                     );
                 } else if byte >= frame.len() - WIRE_CHECKSUM_LEN {
                     assert!(
-                        matches!(err, WireError::ChecksumMismatch { .. }),
+                        matches!(err, WireError::Frame(FrameError::ChecksumMismatch { .. })),
                         "byte {byte}: {err}"
                     );
                 }
@@ -157,7 +158,8 @@ fn truncation_at_every_offset_of_a_format_2_frame_is_rejected() {
             assert!(
                 matches!(
                     err,
-                    WireError::TooShort { .. } | WireError::Truncated { .. }
+                    WireError::Frame(FrameError::TooShort { .. })
+                        | WireError::Frame(FrameError::Truncated { .. })
                 ),
                 "len {len}: {err}"
             );
@@ -188,7 +190,10 @@ fn format_cross_decode_matrix() {
     let err = decode_message_with_max_format(v2, WIRE_FORMAT)
         .expect_err("a pre-tenant decoder must reject format 2");
     assert!(
-        matches!(err, WireError::UnsupportedFormat { found: 2 }),
+        matches!(
+            err,
+            WireError::Frame(FrameError::UnsupportedFormat { found: 2 })
+        ),
         "{err}"
     );
 
@@ -219,7 +224,8 @@ fn truncation_at_every_offset_is_rejected() {
         assert!(
             matches!(
                 err,
-                WireError::TooShort { .. } | WireError::Truncated { .. }
+                WireError::Frame(FrameError::TooShort { .. })
+                    | WireError::Frame(FrameError::Truncated { .. })
             ),
             "len {len}: {err}"
         );
@@ -227,7 +233,7 @@ fn truncation_at_every_offset_is_rejected() {
         let mut cursor = Cursor::new(truncated.to_vec());
         let err = read_message(&mut cursor).expect_err("mid-frame EOF must error");
         assert!(
-            matches!(err, WireError::Truncated { .. }),
+            matches!(err, WireError::Frame(FrameError::Truncated { .. })),
             "len {len}: {err}"
         );
     }
@@ -247,11 +253,17 @@ fn oversized_length_prefix_is_rejected_without_allocating() {
     let sum = checksum(&frame[..body_len]);
     frame[body_len..].copy_from_slice(&sum.to_le_bytes());
     let err = decode_message_exact(&frame).expect_err("oversized must not decode");
-    assert!(matches!(err, WireError::Oversized { .. }), "{err}");
+    assert!(
+        matches!(err, WireError::Frame(FrameError::Oversized { .. })),
+        "{err}"
+    );
     // The stream path must refuse before trying to read (or buffer) 16 MiB+.
     let mut cursor = Cursor::new(frame[..WIRE_HEADER_LEN].to_vec());
     let err = read_message(&mut cursor).expect_err("oversized stream must error");
-    assert!(matches!(err, WireError::Oversized { .. }), "{err}");
+    assert!(
+        matches!(err, WireError::Frame(FrameError::Oversized { .. })),
+        "{err}"
+    );
 }
 
 #[test]
@@ -273,6 +285,22 @@ fn a_request_declaring_too_many_signatures_is_rejected() {
     assert!(matches!(err, WireError::Malformed { .. }), "{err}");
 }
 
+#[test]
+fn non_canonical_booleans_are_rejected() {
+    // A checksum-valid frame whose flag byte is 2 would decode to a message
+    // that re-encodes to different bytes. `draining` follows fourteen u64
+    // health counters; `checkpoint_written` follows one u64.
+    for (kind, mut payload, flag_at) in
+        [(0x82, vec![0; 14 * 8 + 2], 14 * 8), (0x83, vec![0; 17], 8)]
+    {
+        decode_message_exact(&frame::WIRE.seal(WIRE_FORMAT, Some(kind), &payload)).unwrap();
+        payload[flag_at] = 2;
+        let err = decode_message_exact(&frame::WIRE.seal(WIRE_FORMAT, Some(kind), &payload))
+            .expect_err("flag byte 2 must not decode");
+        assert!(matches!(err, WireError::Malformed { .. }), "{err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -284,7 +312,7 @@ proptest! {
         let frame_len = frame.len();
         frame.extend_from_slice(&extra);
         let err = decode_message_exact(&frame).expect_err("trailing bytes must fail exact decode");
-        prop_assert!(matches!(err, WireError::TrailingBytes { .. }), "{err}");
+        prop_assert!(matches!(err, WireError::Frame(FrameError::TrailingBytes { .. })), "{err}");
         // The incremental decoder, by contrast, consumes exactly one frame
         // and reports where the next one starts — that is how the
         // connection reader separates pipelined requests.
