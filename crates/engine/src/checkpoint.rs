@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::frame::{self, FrameError};
 use crate::throughput::{measure, MeasuredThroughput};
-use crate::EngineConfig;
+use crate::{EngineConfig, MAX_QUEUE_CAPACITY, MAX_WORKERS};
 
 /// Errors loading or storing a checkpoint. Every way a file can be wrong —
 /// torn, truncated, bit-flipped, or semantically invalid — maps to a typed
@@ -171,8 +171,20 @@ impl CheckpointDoc {
         if self.config.publish_every_steps == Some(0) {
             return invalid("publish cadence of zero steps".to_string());
         }
-        if self.config.queue_capacity == Some(0) {
-            return invalid("queue capacity of zero".to_string());
+        if self.config.workers > MAX_WORKERS {
+            return invalid(format!(
+                "{} workers exceed MAX_WORKERS ({MAX_WORKERS})",
+                self.config.workers
+            ));
+        }
+        match self.config.queue_capacity {
+            Some(0) => return invalid("queue capacity of zero".to_string()),
+            Some(capacity) if capacity > MAX_QUEUE_CAPACITY => {
+                return invalid(format!(
+                    "queue capacity {capacity} exceeds MAX_QUEUE_CAPACITY ({MAX_QUEUE_CAPACITY})"
+                ))
+            }
+            _ => {}
         }
         Ok(())
     }

@@ -89,6 +89,16 @@ pub use throughput::{
 };
 pub use train::{compare_training_throughput, TrainReport, TrainThroughputComparison};
 
+/// Most worker threads an [`EngineConfig`] may ask for. Each worker is an
+/// OS thread spawned at construction, so a checkpoint from disk that asks
+/// for more is rejected rather than spawning threads until one fails.
+pub const MAX_WORKERS: usize = 1024;
+
+/// Largest bounded job queue an [`EngineConfig`] may ask for. The queue is
+/// allocated whole at construction, so a checkpoint from disk that asks for
+/// more is rejected rather than aborting on the allocation.
+pub const MAX_QUEUE_CAPACITY: usize = 65_536;
+
 /// Configuration for a [`SomService`].
 ///
 /// The default asks the OS for the available parallelism, keeps the
@@ -96,8 +106,8 @@ pub use train::{compare_training_throughput, TrainReport, TrainThroughputCompari
 /// boundaries only.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct EngineConfig {
-    /// Number of worker threads. `0` asks the OS for the available
-    /// parallelism (falling back to 1 if unknown).
+    /// Number of worker threads, at most [`MAX_WORKERS`]. `0` asks the OS
+    /// for the available parallelism (falling back to 1 if unknown).
     pub workers: usize,
     /// Overrides the classifier's unknown-rejection distance threshold.
     /// `None` keeps whatever the labelled map was calibrated with.
@@ -116,8 +126,8 @@ pub struct EngineConfig {
     /// behaviour of [`bsom_som::LabelledSom::label`].
     pub label_decay: Option<f64>,
     /// Capacity of the bounded job queue classify shards are submitted
-    /// through. `None` (the default) resolves to `4 × workers`, floored at
-    /// 16 — enough for a few batches in flight per worker. The bound is the
+    /// through, at most [`MAX_QUEUE_CAPACITY`]. `None` (the default)
+    /// resolves to `4 × workers`, floored at 16 — enough for a few batches in flight per worker. The bound is the
     /// graceful-degradation lever: a blocking classify waits for space
     /// (backpressure), while [`Recognizer::try_classify_batch`] sheds the
     /// batch with [`EngineError::Overloaded`] instead
@@ -127,7 +137,15 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A configuration with an explicit worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` exceeds [`MAX_WORKERS`].
     pub fn with_workers(workers: usize) -> Self {
+        assert!(
+            workers <= MAX_WORKERS,
+            "{workers} workers exceed MAX_WORKERS ({MAX_WORKERS})"
+        );
         EngineConfig {
             workers,
             ..EngineConfig::default()
@@ -182,9 +200,13 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds [`MAX_QUEUE_CAPACITY`].
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be at least one job");
+        assert!(
+            capacity <= MAX_QUEUE_CAPACITY,
+            "queue capacity {capacity} exceeds MAX_QUEUE_CAPACITY ({MAX_QUEUE_CAPACITY})"
+        );
         self.queue_capacity = Some(capacity);
         self
     }
@@ -374,6 +396,18 @@ mod tests {
                 (0..7).map(|_| BinaryVector::random(96, &mut r)).collect();
             assert_eq!(recognizer.classify_batch(&batch).len(), 7);
         }
+    }
+
+    #[test]
+    fn config_builders_reject_counts_beyond_the_limits() {
+        assert_eq!(EngineConfig::with_workers(MAX_WORKERS).workers, MAX_WORKERS);
+        assert!(std::panic::catch_unwind(|| EngineConfig::with_workers(MAX_WORKERS + 1)).is_err());
+        let config = EngineConfig::default().with_queue_capacity(MAX_QUEUE_CAPACITY);
+        assert_eq!(config.queue_capacity, Some(MAX_QUEUE_CAPACITY));
+        assert!(std::panic::catch_unwind(|| {
+            EngineConfig::default().with_queue_capacity(MAX_QUEUE_CAPACITY + 1)
+        })
+        .is_err());
     }
 
     #[test]

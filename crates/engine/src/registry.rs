@@ -41,10 +41,9 @@ use std::sync::{Arc, Mutex};
 use bsom_signature::BinaryVector;
 use bsom_som::{BSom, ObjectLabel, Prediction, TrainSchedule};
 
-use crate::checkpoint::{self, CheckpointDoc};
+use crate::checkpoint;
 use crate::service::{
-    lock_recovering, resolve_queue_capacity, resolve_workers, ServiceHealth, SomService,
-    SomSnapshot, Trainer, WorkerPool,
+    lock_recovering, seeded_doc, ServiceHealth, SomService, SomSnapshot, Trainer, WorkerPool,
 };
 use crate::{EngineConfig, EngineError};
 
@@ -139,13 +138,11 @@ impl RegistryConfig {
 
 /// Where a tenant's state currently lives.
 enum TenantState {
-    /// In memory: a live service/trainer pair over the shared pool. The
-    /// trainer is boxed so an evicted slot shrinks to the enum tag — the
-    /// slab stays dense when most of "thousands of tenants" are cold.
-    Resident {
-        service: Arc<SomService>,
-        trainer: Box<Trainer>,
-    },
+    /// In memory: the tenant's trainer over the shared pool; its service
+    /// handle ([`Trainer::service`]) shares the trainer's snapshots. Boxed
+    /// so an evicted slot shrinks to the enum tag — the slab stays dense
+    /// when most of "thousands of tenants" are cold.
+    Resident(Box<Trainer>),
     /// Spilled to the slot's checkpoint file; reloaded on next touch.
     Evicted,
 }
@@ -167,11 +164,27 @@ struct TenantSlot {
 
 impl TenantSlot {
     fn is_resident(&self) -> bool {
-        matches!(self.state, TenantState::Resident { .. })
+        matches!(self.state, TenantState::Resident(_))
+    }
+
+    /// The latest published snapshot version, read from the spill
+    /// checkpoint without a reload when evicted ([`MapRegistry::version`]).
+    fn version(&self) -> Result<u64, EngineError> {
+        match &self.state {
+            TenantState::Resident(trainer) => Ok(trainer.service().version()),
+            TenantState::Evicted => {
+                let path = self
+                    .spill_path
+                    .as_ref()
+                    .ok_or(EngineError::SpillUnconfigured)?;
+                Ok(checkpoint::read_doc(path)?.service_version)
+            }
+        }
     }
 }
 
 /// Everything behind the registry's one mutex.
+#[derive(Default)]
 struct RegistryInner {
     slots: Vec<Option<TenantSlot>>,
     free: Vec<usize>,
@@ -290,7 +303,6 @@ pub struct TickReport {
 /// ```
 pub struct MapRegistry {
     pool: Arc<WorkerPool>,
-    workers: usize,
     config: RegistryConfig,
     inner: Mutex<RegistryInner>,
 }
@@ -301,7 +313,7 @@ impl std::fmt::Debug for MapRegistry {
         f.debug_struct("MapRegistry")
             .field("tenants", &stats.tenants)
             .field("resident", &stats.resident)
-            .field("workers", &self.workers)
+            .field("workers", &self.pool.workers)
             .field("max_resident", &self.config.max_resident)
             .finish()
     }
@@ -322,28 +334,10 @@ impl MapRegistry {
             config.max_resident == 0 || config.spill_dir.is_some(),
             "RegistryConfig::max_resident needs a spill_dir to evict into"
         );
-        if let Err(error) = bsom_signature::validate_env_dispatch() {
-            panic!("{error}");
-        }
-        let workers = resolve_workers(config.engine.workers);
-        let queue_capacity = resolve_queue_capacity(config.engine.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
         MapRegistry {
-            pool,
-            workers,
+            pool: WorkerPool::spawn(&config.engine),
             config,
-            inner: Mutex::new(RegistryInner {
-                slots: Vec::new(),
-                free: Vec::new(),
-                index: HashMap::new(),
-                rr_cursor: 0,
-                clock: 0,
-                created_total: 0,
-                evictions_total: 0,
-                reloads_total: 0,
-                steps_total: 0,
-                ticks_total: 0,
-            }),
+            inner: Mutex::new(RegistryInner::default()),
         }
     }
 
@@ -372,14 +366,8 @@ impl MapRegistry {
                 tenant: id.as_str().to_string(),
             });
         }
-        let (service, trainer) = SomService::pair_train_while_serve_on(
-            som,
-            schedule,
-            seed_data,
-            self.config.engine,
-            Arc::clone(&self.pool),
-            self.workers,
-        );
+        let doc = seeded_doc(som, schedule, seed_data, self.config.engine);
+        let (_, trainer) = SomService::pair_on(Arc::clone(&self.pool), doc, 1);
         inner.created_total += 1;
         let seq = inner.created_total;
         let spill_path = self
@@ -389,10 +377,7 @@ impl MapRegistry {
             .map(|dir| dir.join(format!("tenant-{seq}.bsomckpt")));
         let slot = TenantSlot {
             id: id.clone(),
-            state: TenantState::Resident {
-                service: Arc::new(service),
-                trainer: Box::new(trainer),
-            },
+            state: TenantState::Resident(Box::new(trainer)),
             pending: VecDeque::new(),
             last_touch: 0,
             spill_path,
@@ -409,8 +394,8 @@ impl MapRegistry {
         };
         inner.index.insert(id, index);
         inner.touch(index);
-        self.enforce_residency(&mut inner)?;
-        Ok(())
+        self.enforce_residency(&mut inner)
+            .map_err(|(_, error)| error)
     }
 
     /// Removes a tenant, dropping its in-memory state, queued examples and
@@ -494,11 +479,9 @@ impl MapRegistry {
             let mut inner = lock_recovering(&self.inner);
             let index = inner.index_of(&id)?;
             inner.touch(index);
-            self.ensure_resident(&mut inner, index)?;
-            let TenantState::Resident { service, .. } = &inner.slot_mut(index).state else {
-                unreachable!("ensure_resident leaves the slot resident");
-            };
-            (Arc::clone(service), service.snapshot())
+            let service = self.resident(&mut inner, index)?.service();
+            let snapshot = service.snapshot();
+            (service, snapshot)
         };
         Ok(service.classify_pinned(&snapshot, signatures))
     }
@@ -516,11 +499,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { service, .. } = &inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        Ok(service.snapshot())
+        Ok(self.resident(&mut inner, index)?.service().snapshot())
     }
 
     /// The tenant's latest published snapshot version. Works without a
@@ -536,18 +515,7 @@ impl MapRegistry {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
-        let slot = inner.slot_mut(index);
-        match &slot.state {
-            TenantState::Resident { service, .. } => Ok(service.version()),
-            TenantState::Evicted => {
-                let path = slot
-                    .spill_path
-                    .clone()
-                    .ok_or(EngineError::SpillUnconfigured)?;
-                let doc = checkpoint::read_doc(&path)?;
-                Ok(doc.service_version)
-            }
-        }
+        inner.slot_mut(index).version()
     }
 
     /// A clone of the tenant's map in its current training state (reloading
@@ -564,11 +532,7 @@ impl MapRegistry {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { trainer, .. } = &inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        Ok(trainer.som().clone())
+        Ok(self.resident(&mut inner, index)?.som().clone())
     }
 
     /// `true` once the tenant's trainer poisoned itself on a panicked
@@ -585,7 +549,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         match &inner.slot_mut(index).state {
-            TenantState::Resident { trainer, .. } => Ok(trainer.is_poisoned()),
+            TenantState::Resident(trainer) => Ok(trainer.is_poisoned()),
             TenantState::Evicted => Ok(false),
         }
     }
@@ -605,11 +569,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { trainer, .. } = &mut inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        trainer.reset_from_snapshot()
+        self.resident(&mut inner, index)?.reset_from_snapshot()
     }
 
     /// Explicitly evicts a tenant to its spill checkpoint. The in-memory
@@ -646,7 +606,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)
+        self.resident(&mut inner, index).map(drop)
     }
 
     /// Runs up to `step_budget` training steps, spread fairly across every
@@ -692,23 +652,22 @@ impl MapRegistry {
                 if slot.pending.is_empty() || failed.contains(&index) {
                     continue;
                 }
-                if let Err(error) = self.ensure_resident(&mut inner, index) {
+                if let Err(error) = self.resident(&mut inner, index) {
                     let id = inner.slot_mut(index).id.clone();
                     report.failures.push((id, error));
                     failed.push(index);
                     continue;
                 }
                 inner.touch(index);
-                let slot = inner.slot_mut(index);
-                let id = slot.id.clone();
-                let (signature, label) = slot
+                let (signature, label) = inner
+                    .slot_mut(index)
                     .pending
                     .pop_front()
                     .expect("pending checked non-empty above");
-                let TenantState::Resident { trainer, .. } = &mut slot.state else {
-                    unreachable!("ensure_resident leaves the slot resident");
-                };
-                match trainer.try_feed(&signature, label) {
+                let outcome = self
+                    .resident(&mut inner, index)
+                    .and_then(|trainer| trainer.try_feed(&signature, label));
+                match outcome {
                     Ok(_) => {
                         budget -= 1;
                         report.steps += 1;
@@ -723,6 +682,7 @@ impl MapRegistry {
                         // signature can never train, and a panicked step's
                         // example is part of the torn state the recovery
                         // path discards.
+                        let id = inner.slot_mut(index).id.clone();
                         report.failures.push((id, error));
                         failed.push(index);
                     }
@@ -736,13 +696,13 @@ impl MapRegistry {
         // eviction version-transparent (trainer state == published snapshot
         // outside a tick).
         for &index in &trained {
-            let TenantState::Resident { trainer, .. } = &mut inner.slot_mut(index).state else {
+            let TenantState::Resident(trainer) = &mut inner.slot_mut(index).state else {
                 continue; // unreachable in practice: trained tenants are resident
             };
             trainer.publish_if_dirty();
         }
         report.tenants_trained = trained.len();
-        if let Err((id, error)) = self.enforce_residency_attributed(&mut inner) {
+        if let Err((id, error)) = self.enforce_residency(&mut inner) {
             // The tenant that failed to spill stays resident and servable.
             report.failures.push((id, error));
         }
@@ -754,32 +714,35 @@ impl MapRegistry {
     /// Flushes **all** of one tenant's queued examples through its trainer
     /// (ignoring any tick budget), publishes, and returns
     /// `(steps_flushed, final_version)` — the tenant-scoped graceful drain
-    /// the serve layer maps `DrainRequest{tenant}` onto.
+    /// the serve layer maps `DrainRequest{tenant}` onto. An evicted tenant
+    /// with an empty queue stays on disk: its version is read from the
+    /// spill checkpoint, as [`version`](Self::version) does.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownTenant`]; [`EngineError::Checkpoint`] on a
-    /// failed reload; the first training error (the remaining queue is
-    /// preserved).
+    /// failed reload or spill read; the first training error (the remaining
+    /// queue is preserved).
     pub fn drain_tenant(&self, id: impl Into<TenantId>) -> Result<(u64, u64), EngineError> {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)?;
         let slot = inner.slot_mut(index);
-        let TenantState::Resident { trainer, service } = &mut slot.state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        let mut steps = 0u64;
-        while let Some((signature, label)) = slot.pending.pop_front() {
-            match trainer.try_feed(&signature, label) {
-                Ok(_) => steps += 1,
-                Err(error) => return Err(error),
-            }
+        if !slot.is_resident() && slot.pending.is_empty() {
+            return Ok((0, slot.version()?));
         }
+        // Reload before popping, so a failed reload consumes nothing.
+        self.resident(&mut inner, index)?;
+        let mut steps = 0u64;
+        while let Some((signature, label)) = inner.slot_mut(index).pending.pop_front() {
+            self.resident(&mut inner, index)?
+                .try_feed(&signature, label)?;
+            steps += 1;
+        }
+        let trainer = self.resident(&mut inner, index)?;
         trainer.publish_if_dirty();
-        let version = service.version();
+        let version = trainer.service().version();
         inner.steps_total += steps;
         Ok((steps, version))
     }
@@ -814,7 +777,7 @@ impl MapRegistry {
     /// [`SomService::health`] — the registry's tenants all report through
     /// this single pool).
     pub fn health(&self) -> ServiceHealth {
-        self.pool.health_with(self.workers)
+        self.pool.health()
     }
 
     /// Number of registered tenants.
@@ -849,41 +812,44 @@ impl MapRegistry {
         lock_recovering(&self.inner).index.keys().cloned().collect()
     }
 
-    /// Reloads `index` if evicted; no-op when resident. On failure the slot
-    /// stays `Evicted` and the error is typed — the registry never poisons.
-    fn ensure_resident(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
+    /// The trainer of slot `index`, reloaded from its spill checkpoint
+    /// first if the tenant is evicted. On a failed reload the slot stays
+    /// `Evicted` and the error is typed — the registry never poisons.
+    fn resident<'a>(
+        &self,
+        inner: &'a mut RegistryInner,
+        index: usize,
+    ) -> Result<&'a mut Trainer, EngineError> {
         let slot = inner.slot_mut(index);
-        if slot.is_resident() {
-            return Ok(());
+        if !slot.is_resident() {
+            crate::faultpoint::hit("registry.reload");
+            let path = slot
+                .spill_path
+                .as_ref()
+                .ok_or(EngineError::SpillUnconfigured)?;
+            let doc = checkpoint::read_doc(path)?;
+            // Republished at *exactly* the checkpointed version (not +1 like
+            // the public crash-recovery resume): the spill checkpoint was
+            // written under the publish-at-tick-end invariant, so the
+            // checkpointed layer IS the snapshot clients were already being
+            // served — the eviction round trip must not masquerade as new
+            // state.
+            let version = doc.service_version;
+            let (_, trainer) = SomService::pair_on(Arc::clone(&self.pool), doc, version);
+            slot.state = TenantState::Resident(Box::new(trainer));
+            inner.reloads_total += 1;
         }
-        crate::faultpoint::hit("registry.reload");
-        let path = slot
-            .spill_path
-            .clone()
-            .ok_or(EngineError::SpillUnconfigured)?;
-        let doc: CheckpointDoc = checkpoint::read_doc(&path)?;
-        // Republished at *exactly* the checkpointed version (not +1 like the
-        // public crash-recovery resume): the spill checkpoint was written
-        // under the publish-at-tick-end invariant, so the checkpointed layer
-        // IS the snapshot clients were already being served — the eviction
-        // round trip must not masquerade as new state.
-        let version = doc.service_version;
-        let (service, trainer) =
-            SomService::pair_from_doc_on(doc, version, Arc::clone(&self.pool), self.workers);
-        let slot = inner.slot_mut(index);
-        slot.state = TenantState::Resident {
-            service: Arc::new(service),
-            trainer: Box::new(trainer),
-        };
-        inner.reloads_total += 1;
-        Ok(())
+        match &mut inner.slot_mut(index).state {
+            TenantState::Resident(trainer) => Ok(trainer),
+            TenantState::Evicted => unreachable!("the slot was made resident above"),
+        }
     }
 
     /// Spills slot `index` to disk. See [`evict`](Self::evict) for the
     /// ordering guarantees.
     fn evict_slot(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
         let slot = inner.slot_mut(index);
-        let TenantState::Resident { trainer, .. } = &slot.state else {
+        let TenantState::Resident(trainer) = &slot.state else {
             return Ok(()); // already on disk
         };
         if trainer.is_poisoned() {
@@ -910,20 +876,10 @@ impl MapRegistry {
     }
 
     /// Evicts least-recently-touched tenants until the resident count is
-    /// within [`RegistryConfig::max_resident`]. Poisoned tenants are never
-    /// auto-evicted (their maps may be torn); they count against the ceiling
-    /// until recovered.
-    fn enforce_residency(&self, inner: &mut RegistryInner) -> Result<(), EngineError> {
-        self.enforce_residency_attributed(inner)
-            .map_err(|(_, error)| error)
-    }
-
-    /// [`enforce_residency`](Self::enforce_residency), reporting *which*
-    /// tenant failed to spill — for [`TickReport::failures`].
-    fn enforce_residency_attributed(
-        &self,
-        inner: &mut RegistryInner,
-    ) -> Result<(), (TenantId, EngineError)> {
+    /// within [`RegistryConfig::max_resident`], reporting *which* tenant
+    /// failed to spill. Poisoned tenants are never auto-evicted (their maps
+    /// may be torn); they count against the ceiling until recovered.
+    fn enforce_residency(&self, inner: &mut RegistryInner) -> Result<(), (TenantId, EngineError)> {
         let max = self.config.max_resident;
         if max == 0 {
             return Ok(());
@@ -933,7 +889,7 @@ impl MapRegistry {
             let mut coldest: Option<(u64, usize)> = None;
             for (index, slot) in inner.slots.iter().enumerate() {
                 let Some(slot) = slot else { continue };
-                let TenantState::Resident { trainer, .. } = &slot.state else {
+                let TenantState::Resident(trainer) = &slot.state else {
                     continue;
                 };
                 resident += 1;
@@ -1170,5 +1126,38 @@ mod tests {
         assert_eq!(version, 2, "v1 at create + the drain publish");
         assert_eq!(registry.version("t").unwrap(), 2);
         assert_eq!(registry.stats().pending_steps, 0);
+    }
+
+    #[test]
+    fn draining_an_evicted_tenant_with_an_empty_queue_does_not_reload_it() {
+        let mut r = rng();
+        let dir = temp_dir("drain-evicted");
+        let registry = MapRegistry::new(
+            RegistryConfig::new(EngineConfig::with_workers(1)).with_spill_dir(&dir),
+        );
+        let som = BSom::new(BSomConfig::new(4, 64), &mut r);
+        registry
+            .create_tenant("cold", som, TrainSchedule::new(100), &[])
+            .unwrap();
+        let signature = BinaryVector::random(64, &mut r);
+        registry
+            .feed("cold", &signature, ObjectLabel::new(1))
+            .unwrap();
+        registry.train_tick(10);
+        registry.evict("cold").unwrap();
+        let reloads = registry.stats().reloads_total;
+
+        let (steps, version) = registry.drain_tenant("cold").unwrap();
+        assert_eq!((steps, version), (0, 2), "v1 at create + the tick publish");
+        assert!(!registry.is_resident("cold").unwrap(), "still on disk");
+        assert_eq!(registry.stats().reloads_total, reloads);
+
+        // Queued work still reloads and trains it.
+        registry
+            .feed("cold", &signature, ObjectLabel::new(1))
+            .unwrap();
+        assert_eq!(registry.drain_tenant("cold").unwrap(), (1, 3));
+        assert_eq!(registry.stats().reloads_total, reloads + 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -72,24 +72,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Resolves [`EngineConfig::workers`]: 0 means one worker per available
-/// hardware thread.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-}
-
-/// Resolves [`EngineConfig::queue_capacity`]: `None` means four queued jobs
-/// per worker, floored at 16.
-pub(crate) fn resolve_queue_capacity(queue_capacity: Option<usize>, workers: usize) -> usize {
-    queue_capacity.unwrap_or_else(|| (workers * 4).max(16))
-}
-
 /// Weights below this threshold are dropped from a neuron's decayed win
 /// statistics — a win this faded can never influence a majority that any
 /// fresh win participates in, and pruning keeps the per-neuron maps from
@@ -147,6 +129,35 @@ impl DecayedLabelStats {
     /// Forgets every recorded win (the manual windowed-relabelling hook).
     fn clear(&mut self) {
         self.wins.clear();
+    }
+
+    /// The checkpoint form: win weights as raw `f64` bits.
+    fn to_doc(&self) -> NeuronStatsDoc {
+        NeuronStatsDoc {
+            last_step: self.last_step,
+            wins: self
+                .wins
+                .iter()
+                .map(|(label, weight)| (label.id() as u64, weight.to_bits()))
+                .collect(),
+        }
+    }
+
+    /// The inverse of [`to_doc`](Self::to_doc), bit for bit.
+    fn from_doc(doc: NeuronStatsDoc) -> Self {
+        DecayedLabelStats {
+            wins: doc
+                .wins
+                .into_iter()
+                .map(|(label, weight_bits)| {
+                    (
+                        ObjectLabel::new(label as usize),
+                        f64::from_bits(weight_bits),
+                    )
+                })
+                .collect(),
+            last_step: doc.last_step,
+        }
     }
 }
 
@@ -336,10 +347,27 @@ pub(crate) struct WorkerPool {
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<PoolShared>,
     queue_capacity: usize,
+    /// Worker threads the pool keeps alive (the resolved
+    /// [`EngineConfig::workers`]).
+    pub(crate) workers: usize,
 }
 
 impl WorkerPool {
-    pub(crate) fn spawn(workers: usize, queue_capacity: usize) -> Self {
+    /// Spawns the pool `config` asks for: 0 workers means one per available
+    /// hardware thread, an unset queue capacity four jobs per worker floored
+    /// at 16. Panics on an unusable `BSOM_DISPATCH` before any thread exists
+    /// (see [`SomService::from_parts`]).
+    pub(crate) fn spawn(config: &EngineConfig) -> Arc<Self> {
+        if let Err(error) = bsom_signature::validate_env_dispatch() {
+            panic!("{error}");
+        }
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers => workers,
+        };
+        let queue_capacity = config
+            .queue_capacity
+            .unwrap_or_else(|| (workers * 4).max(16));
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(queue_capacity);
         let (exit_tx, exit_rx) = mpsc::channel::<ExitEvent>();
         let shared = Arc::new(PoolShared {
@@ -364,13 +392,14 @@ impl WorkerPool {
                 .spawn(move || supervisor_loop(&shared, &exit_rx, &exit_tx))
                 .expect("spawning the supervisor thread")
         };
-        WorkerPool {
+        Arc::new(WorkerPool {
             job_tx: Some(job_tx),
             exit_tx: Some(exit_tx),
             supervisor: Some(supervisor),
             shared,
             queue_capacity,
-        }
+            workers,
+        })
     }
 
     /// The sending half; present from construction until drop.
@@ -393,12 +422,11 @@ impl WorkerPool {
         }
     }
 
-    /// The pool's supervision counters as a [`ServiceHealth`], reported
-    /// against the given configured worker count. Shared by
-    /// [`ServiceCore::health`] and the registry's aggregate health view.
-    pub(crate) fn health_with(&self, workers_configured: usize) -> ServiceHealth {
+    /// The pool's supervision counters — what [`SomService::health`] and
+    /// the registry's aggregate health view report.
+    pub(crate) fn health(&self) -> ServiceHealth {
         ServiceHealth {
-            workers_configured,
+            workers_configured: self.workers,
             workers_alive: self.shared.workers_alive.load(Ordering::SeqCst),
             queue_depth: self.shared.queue_depth.load(Ordering::SeqCst),
             queue_capacity: self.queue_capacity,
@@ -591,7 +619,6 @@ struct ServiceCore {
     /// over one supervised pool; a standalone service simply holds the only
     /// reference.
     pool: Arc<WorkerPool>,
-    workers: usize,
 }
 
 impl ServiceCore {
@@ -626,11 +653,6 @@ impl ServiceCore {
         });
         self.version.store(version, Ordering::Release);
         version
-    }
-
-    /// The current supervision/queue counters.
-    fn health(&self) -> ServiceHealth {
-        self.pool.health_with(self.workers)
     }
 
     /// `(queue_depth, queue_capacity)` from atomics only — no lock, no
@@ -690,7 +712,7 @@ impl ServiceCore {
         if total == 0 {
             return Ok(Vec::new());
         }
-        let shard_len = total.div_ceil(self.workers);
+        let shard_len = total.div_ceil(self.pool.workers);
         let (reply_tx, reply_rx) = mpsc::channel::<Shard>();
         // Ranges submitted to the pool whose replies are still owed.
         let mut outstanding: Vec<Range<usize>> = Vec::new();
@@ -777,6 +799,34 @@ pub(crate) fn recognize_frames(
         .collect()
 }
 
+/// The training state of a fresh pair: `som` as given, every clock at zero,
+/// and the win statistics of one pass over `seed_data` (empty for a cold
+/// start). Nothing is published yet, so the document's version is 0.
+pub(crate) fn seeded_doc(
+    som: BSom,
+    schedule: TrainSchedule,
+    seed_data: &[(BinaryVector, ObjectLabel)],
+    config: EngineConfig,
+) -> CheckpointDoc {
+    let mut stats = vec![DecayedLabelStats::default(); som.neuron_count()];
+    for (signature, label) in seed_data {
+        if let Ok(winner) = som.winner(signature) {
+            // Seed wins share feed-step 0: no decay separates them.
+            stats[winner.index].record_win(*label, 0, config.label_decay);
+        }
+    }
+    CheckpointDoc {
+        service_version: 0,
+        som,
+        schedule,
+        epochs_run: 0,
+        steps_run: 0,
+        steps_since_publish: 0,
+        config,
+        stats: stats.iter().map(DecayedLabelStats::to_doc).collect(),
+    }
+}
+
 /// The train-while-serve facade: a versioned, atomically-swappable serving
 /// snapshot plus the worker pool that searches it.
 ///
@@ -821,7 +871,7 @@ impl std::fmt::Debug for SomService {
             .field("version", &snapshot.version())
             .field("neurons", &snapshot.layer().neuron_count())
             .field("vector_len", &snapshot.layer().vector_len())
-            .field("workers", &self.core.workers)
+            .field("workers", &self.core.pool.workers)
             .finish()
     }
 }
@@ -830,12 +880,11 @@ impl SomService {
     /// Serves a frozen, already-trained classifier: snapshot v1 is published
     /// at construction and never replaced (nothing holds a [`Trainer`]).
     pub fn serve(classifier: &LabelledSom<BSom>, config: EngineConfig) -> Self {
-        Self::build(
+        Self::build_on(
+            WorkerPool::spawn(&config),
             classifier.map().packed_layer().clone(),
             classifier.neuron_labels().to_vec(),
             config.unknown_threshold.or(classifier.unknown_threshold()),
-            config.workers,
-            config.queue_capacity,
             1,
         )
     }
@@ -846,80 +895,47 @@ impl SomService {
     ///
     /// # Panics
     ///
-    /// Panics if `labels.len()` differs from the layer's neuron count, or if
-    /// the `BSOM_DISPATCH` environment variable names an unknown or
-    /// unavailable kernel dispatch — validated **here**, eagerly, so a
-    /// misconfigured deployment fails at startup on the constructing thread
-    /// with a clear message instead of panicking at the first kernel call
-    /// deep inside a worker.
+    /// Panics if `labels.len()` differs from the layer's neuron count, if
+    /// `workers` exceeds [`MAX_WORKERS`](crate::MAX_WORKERS), or if the
+    /// `BSOM_DISPATCH` environment variable names an unknown or unavailable
+    /// kernel dispatch — validated **here**, eagerly, so a misconfigured
+    /// deployment fails at startup on the constructing thread with a clear
+    /// message instead of panicking at the first kernel call deep inside a
+    /// worker.
     pub fn from_parts(
         layer: PackedLayer,
         labels: Vec<Option<ObjectLabel>>,
         unknown_threshold: Option<f64>,
         workers: usize,
     ) -> Self {
-        Self::build(layer, labels, unknown_threshold, workers, None, 1)
+        let pool = WorkerPool::spawn(&EngineConfig::with_workers(workers));
+        Self::build_on(pool, layer, labels, unknown_threshold, 1)
     }
 
-    /// The one construction path for a **standalone** service: resolves the
-    /// worker count and queue capacity, spawns a dedicated pool, and
-    /// delegates to [`build_on`](Self::build_on).
-    fn build(
-        layer: PackedLayer,
-        labels: Vec<Option<ObjectLabel>>,
-        unknown_threshold: Option<f64>,
-        workers: usize,
-        queue_capacity: Option<usize>,
-        initial_version: u64,
-    ) -> Self {
-        let workers = resolve_workers(workers);
-        let queue_capacity = resolve_queue_capacity(queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Self::build_on(
-            layer,
-            labels,
-            unknown_threshold,
-            initial_version,
-            pool,
-            workers,
-        )
-    }
-
-    /// Builds a service over an **existing** worker pool: validates the
-    /// kernel dispatch eagerly and publishes the initial snapshot as
-    /// `initial_version` (1 for fresh services, the checkpointed version + 1
-    /// on [`resume_from_checkpoint`], the checkpointed version *exactly* on
-    /// a registry reload — see `registry.rs` for why the distinction keeps
-    /// evict→reload version-transparent).
-    ///
-    /// [`resume_from_checkpoint`]: SomService::resume_from_checkpoint
-    pub(crate) fn build_on(
-        layer: PackedLayer,
-        labels: Vec<Option<ObjectLabel>>,
-        unknown_threshold: Option<f64>,
-        initial_version: u64,
+    /// Builds a service over `pool` whose initial snapshot is `layer`
+    /// published as `version`.
+    fn build_on(
         pool: Arc<WorkerPool>,
-        workers: usize,
+        layer: PackedLayer,
+        labels: Vec<Option<ObjectLabel>>,
+        unknown_threshold: Option<f64>,
+        version: u64,
     ) -> Self {
         assert_eq!(
             labels.len(),
             layer.neuron_count(),
             "one label slot per neuron"
         );
-        if let Err(error) = bsom_signature::validate_env_dispatch() {
-            panic!("{error}");
-        }
         let snapshot = Arc::new(SomSnapshot {
-            version: initial_version,
+            version,
             layer: Arc::new(layer),
             labels,
             unknown_threshold,
         });
         let core = Arc::new(ServiceCore {
             latest: Mutex::new(snapshot),
-            version: AtomicU64::new(initial_version),
+            version: AtomicU64::new(version),
             pool,
-            workers,
         });
         SomService { core }
     }
@@ -937,57 +953,8 @@ impl SomService {
         seed_data: &[(BinaryVector, ObjectLabel)],
         config: EngineConfig,
     ) -> (Self, Trainer) {
-        let workers = resolve_workers(config.workers);
-        let queue_capacity = resolve_queue_capacity(config.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Self::pair_train_while_serve_on(som, schedule, seed_data, config, pool, workers)
-    }
-
-    /// [`train_while_serve`](Self::train_while_serve) over an existing
-    /// worker pool — the registry's tenant-construction path. `workers` must
-    /// already be resolved (non-zero).
-    pub(crate) fn pair_train_while_serve_on(
-        som: BSom,
-        schedule: TrainSchedule,
-        seed_data: &[(BinaryVector, ObjectLabel)],
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-        workers: usize,
-    ) -> (Self, Trainer) {
-        let mut stats = vec![DecayedLabelStats::default(); som.neuron_count()];
-        for (signature, label) in seed_data {
-            if let Ok(winner) = som.winner(signature) {
-                // Seed wins share feed-step 0: no decay separates them.
-                stats[winner.index].record_win(*label, 0, config.label_decay);
-            }
-        }
-        let labels = stats
-            .iter()
-            .map(DecayedLabelStats::majority_label)
-            .collect();
-        let service = Self::build_on(
-            som.packed_layer().clone(),
-            labels,
-            config.unknown_threshold,
-            1,
-            pool,
-            workers,
-        );
-        let trainer = Trainer {
-            core: Arc::clone(&service.core),
-            som,
-            schedule,
-            epochs_run: 0,
-            steps_run: 0,
-            steps_since_publish: 0,
-            publish_every_steps: config.publish_every_steps,
-            stats,
-            label_decay: config.label_decay,
-            unknown_threshold: config.unknown_threshold,
-            config,
-            poisoned: false,
-        };
-        (service, trainer)
+        let pool = WorkerPool::spawn(&config);
+        Self::pair_on(pool, seeded_doc(som, schedule, seed_data, config), 1)
     }
 
     /// Restores a train-while-serve pair from a checkpoint written by
@@ -1012,28 +979,27 @@ impl SomService {
         path: impl AsRef<Path>,
     ) -> Result<(Self, Trainer), CheckpointError> {
         let doc = checkpoint::read_doc(path.as_ref())?;
-        let initial_version = doc.service_version + 1;
-        let workers = resolve_workers(doc.config.workers);
-        let queue_capacity = resolve_queue_capacity(doc.config.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Ok(Self::pair_from_doc_on(doc, initial_version, pool, workers))
+        let version = doc.service_version + 1;
+        Ok(Self::pair_on(WorkerPool::spawn(&doc.config), doc, version))
     }
 
-    /// Rebuilds a service/trainer pair from an in-memory [`CheckpointDoc`]
-    /// over an existing pool, publishing the restored state as exactly
-    /// `initial_version`.
+    /// The one constructor of a service/trainer pair: publishes the map of
+    /// `doc`, labelled by the majority of its win statistics, as snapshot
+    /// `version` over `pool`, and hands the map, schedule, clocks and
+    /// statistics to the trainer.
     ///
-    /// The public [`resume_from_checkpoint`](Self::resume_from_checkpoint)
+    /// A fresh pair ([`train_while_serve`](Self::train_while_serve) and
+    /// registry tenant creation) passes a [`seeded_doc`] and version 1. The
+    /// public [`resume_from_checkpoint`](Self::resume_from_checkpoint)
     /// passes `doc.service_version + 1` (a restart is visible as a version
     /// bump); the registry's evict→reload path passes `doc.service_version`
     /// unchanged, because there the checkpointed layer **is** the published
     /// snapshot (trainers are published at every tick end before they can be
-    /// evicted) and the round-trip must be invisible to clients.
-    pub(crate) fn pair_from_doc_on(
-        doc: CheckpointDoc,
-        initial_version: u64,
+    /// evicted) and the round trip must be invisible to clients.
+    pub(crate) fn pair_on(
         pool: Arc<WorkerPool>,
-        workers: usize,
+        doc: CheckpointDoc,
+        version: u64,
     ) -> (Self, Trainer) {
         let CheckpointDoc {
             service_version: _,
@@ -1045,33 +1011,18 @@ impl SomService {
             config,
             stats,
         } = doc;
-        let stats: Vec<DecayedLabelStats> = stats
-            .into_iter()
-            .map(|doc| DecayedLabelStats {
-                wins: doc
-                    .wins
-                    .into_iter()
-                    .map(|(label, weight_bits)| {
-                        (
-                            ObjectLabel::new(label as usize),
-                            f64::from_bits(weight_bits),
-                        )
-                    })
-                    .collect(),
-                last_step: doc.last_step,
-            })
-            .collect();
+        let stats: Vec<DecayedLabelStats> =
+            stats.into_iter().map(DecayedLabelStats::from_doc).collect();
         let labels = stats
             .iter()
             .map(DecayedLabelStats::majority_label)
             .collect();
         let service = Self::build_on(
+            pool,
             som.packed_layer().clone(),
             labels,
             config.unknown_threshold,
-            initial_version,
-            pool,
-            workers,
+            version,
         );
         let trainer = Trainer {
             core: Arc::clone(&service.core),
@@ -1080,10 +1031,7 @@ impl SomService {
             epochs_run,
             steps_run,
             steps_since_publish,
-            publish_every_steps: config.publish_every_steps,
             stats,
-            label_decay: config.label_decay,
-            unknown_threshold: config.unknown_threshold,
             config,
             poisoned: false,
         };
@@ -1093,7 +1041,7 @@ impl SomService {
     /// A point-in-time view of the supervision state: workers alive vs
     /// configured, bounded-queue depth, and the panic/respawn counters.
     pub fn health(&self) -> ServiceHealth {
-        self.core.health()
+        self.core.pool.health()
     }
 
     /// A new recognizer handle, pinned to the latest snapshot until its next
@@ -1117,7 +1065,7 @@ impl SomService {
 
     /// Number of worker threads in the shared pool.
     pub fn worker_count(&self) -> usize {
-        self.core.workers
+        self.core.pool.workers
     }
 
     /// `(queue_depth, queue_capacity)` of the bounded job queue, read from
@@ -1160,11 +1108,9 @@ pub struct Trainer {
     epochs_run: usize,
     steps_run: u64,
     steps_since_publish: u64,
-    publish_every_steps: Option<u64>,
     stats: Vec<DecayedLabelStats>,
-    label_decay: Option<f64>,
-    unknown_threshold: Option<f64>,
-    /// The full construction config, persisted into checkpoints so
+    /// The full construction config — the publish cadence, label decay and
+    /// unknown threshold are read from here — persisted into checkpoints so
     /// [`SomService::resume_from_checkpoint`] rebuilds the same service.
     config: EngineConfig,
     /// Set when a [`try_feed`](Trainer::try_feed) step panicked: the map may
@@ -1223,14 +1169,7 @@ impl Trainer {
         let winner = self
             .som
             .train_step(signature, self.epochs_run, &self.schedule)?;
-        self.stats[winner.index].record_win(label, self.steps_run, self.label_decay);
-        self.steps_run += 1;
-        self.steps_since_publish += 1;
-        if let Some(every) = self.publish_every_steps {
-            if self.steps_since_publish >= every {
-                self.publish();
-            }
-        }
+        self.record_step(winner.index, label);
         Ok(winner)
     }
 
@@ -1270,15 +1209,21 @@ impl Trainer {
                 });
             }
         };
-        self.stats[winner.index].record_win(label, self.steps_run, self.label_decay);
+        self.record_step(winner.index, label);
+        Ok(winner)
+    }
+
+    /// The bookkeeping after a completed training step: the win for `label`,
+    /// the step clocks, and the publish cadence.
+    fn record_step(&mut self, winner: usize, label: ObjectLabel) {
+        self.stats[winner].record_win(label, self.steps_run, self.config.label_decay);
         self.steps_run += 1;
         self.steps_since_publish += 1;
-        if let Some(every) = self.publish_every_steps {
+        if let Some(every) = self.config.publish_every_steps {
             if self.steps_since_publish >= every {
                 self.publish();
             }
         }
-        Ok(winner)
     }
 
     /// `true` once a [`try_feed`](Self::try_feed) step panicked; the trainer
@@ -1359,18 +1304,7 @@ impl Trainer {
             steps_run: self.steps_run,
             steps_since_publish: self.steps_since_publish,
             config: self.config,
-            stats: self
-                .stats
-                .iter()
-                .map(|stat| NeuronStatsDoc {
-                    last_step: stat.last_step,
-                    wins: stat
-                        .wins
-                        .iter()
-                        .map(|(label, weight)| (label.id() as u64, weight.to_bits()))
-                        .collect(),
-                })
-                .collect(),
+            stats: self.stats.iter().map(DecayedLabelStats::to_doc).collect(),
         }
     }
 
@@ -1441,8 +1375,16 @@ impl Trainer {
         self.core.publish(
             Arc::new(self.som.packed_layer().clone()),
             labels,
-            self.unknown_threshold,
+            self.config.unknown_threshold,
         )
+    }
+
+    /// A service handle over this trainer's snapshots — how the registry,
+    /// which keeps only the trainer, classifies and reads versions.
+    pub(crate) fn service(&self) -> SomService {
+        SomService {
+            core: Arc::clone(&self.core),
+        }
     }
 
     /// Steps fed since the last publish — 0 means the published snapshot is

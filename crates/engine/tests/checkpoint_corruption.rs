@@ -166,3 +166,39 @@ fn checksum_valid_frames_with_tampered_planes_are_typed_errors() {
         );
     }
 }
+
+/// Rewrites the stored engine config field `key` from `from` to `to`.
+fn tamper_config(payload: &str, key: &str, from: &str, to: &str) -> String {
+    let old = format!("\"{key}\":{from}");
+    assert!(payload.contains(&old), "payload holds {old}");
+    payload.replacen(&old, &format!("\"{key}\":{to}"), 1)
+}
+
+/// The job queue is allocated whole when the pool starts: a checksum-valid
+/// checkpoint asking for a huge queue must be `Invalid`, not an abort on
+/// the allocation.
+#[test]
+fn checksum_valid_frames_with_a_huge_queue_capacity_are_invalid() {
+    let frame = pristine_frame();
+    let payload = std::str::from_utf8(&frame[20..frame.len() - 8]).unwrap();
+    let bad = tamper_config(payload, "queue_capacity", "null", "1000000000000000");
+    let outcome = resume_bytes(&reframe(bad.as_bytes()));
+    assert!(
+        matches!(outcome, Err(CheckpointError::Invalid { .. })),
+        "a huge queue capacity must be CheckpointError::Invalid, got {outcome:?}"
+    );
+}
+
+/// One thread is spawned per worker: a checksum-valid checkpoint asking for
+/// a huge worker count must be `Invalid`, not a spawn failure.
+#[test]
+fn checksum_valid_frames_with_a_huge_worker_count_are_invalid() {
+    let frame = pristine_frame();
+    let payload = std::str::from_utf8(&frame[20..frame.len() - 8]).unwrap();
+    let bad = tamper_config(payload, "workers", "1", "1000000000000000");
+    let outcome = resume_bytes(&reframe(bad.as_bytes()));
+    assert!(
+        matches!(outcome, Err(CheckpointError::Invalid { .. })),
+        "a huge worker count must be CheckpointError::Invalid, got {outcome:?}"
+    );
+}

@@ -18,6 +18,11 @@
 //! to `tenant-0`), a training pump thread spreading `--tick-budget` steps
 //! per tick fairly across tenants, and optional LRU eviction to
 //! `--spill-dir` when more than `--max-resident` tenants are resident.
+//!
+//! Flags of the other mode are rejected with exit code 2, never ignored:
+//! `--checkpoint`, `--batch-of-one`, `--max-batch`, `--max-delay-micros`
+//! and `--queue-capacity` apply only without `--tenants`; `--max-resident`,
+//! `--spill-dir` and `--tick-budget` only with it.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -78,8 +83,21 @@ const USAGE: &str = "usage: bsom-serve [--addr HOST:PORT] [--addr-file PATH] \
 [--max-batch SIGS] [--max-delay-micros N] [--queue-capacity N] [--batch-of-one] \
 [--tenants N] [--max-resident N] [--spill-dir PATH] [--tick-budget STEPS]";
 
+/// Flags that configure the single-map server (no `--tenants`).
+const SINGLE_MAP_FLAGS: [&str; 5] = [
+    "--checkpoint",
+    "--batch-of-one",
+    "--max-batch",
+    "--max-delay-micros",
+    "--queue-capacity",
+];
+
+/// Flags that configure the registry server (`--tenants N`, N > 0).
+const REGISTRY_FLAGS: [&str; 3] = ["--max-resident", "--spill-dir", "--tick-budget"];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::defaults();
+    let mut seen: Vec<String> = Vec::new();
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| {
@@ -105,6 +123,15 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
+        seen.push(flag);
+    }
+    let (foreign, mode) = if args.tenants > 0 {
+        (&SINGLE_MAP_FLAGS[..], "with --tenants")
+    } else {
+        (&REGISTRY_FLAGS[..], "without --tenants")
+    };
+    if let Some(flag) = seen.iter().find(|flag| foreign.contains(&flag.as_str())) {
+        return Err(format!("{flag} does not apply {mode}\n{USAGE}"));
     }
     Ok(args)
 }

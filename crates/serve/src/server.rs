@@ -23,9 +23,10 @@
 //!
 //! [`write_checkpoint`]: bsom_engine::Trainer::write_checkpoint
 
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Builder, JoinHandle};
@@ -65,7 +66,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often the accept loop re-checks the draining flag.
+/// How often the accept loop re-checks the draining flag, and how long it
+/// backs off after a failed accept.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -109,8 +111,11 @@ struct ServerShared {
     drain_done: Mutex<Option<DrainSummary>>,
     drain_cv: Condvar,
     drain_hook: Mutex<Option<DrainHook>>,
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections by id: a clone of the stream (so `close` can
+    /// half-close it) and the connection's reader thread, which joins its
+    /// writer. A finished connection removes its own entry.
+    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
+    next_conn: AtomicU64,
 }
 
 impl fmt::Debug for ServerShared {
@@ -193,8 +198,8 @@ impl Server {
             drain_done: Mutex::new(None),
             drain_cv: Condvar::new(),
             drain_hook: Mutex::new(drain_hook),
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = Builder::new()
@@ -268,12 +273,14 @@ impl Server {
         // Half-close every connection: readers see EOF and exit, writers
         // first flush whatever responses are still queued (in-flight batches
         // resolve by deadline), then exit.
-        for conn in lock_recovering(&self.shared.conns).drain(..) {
-            let _ = conn.shutdown(Shutdown::Read);
+        let conns: Vec<(TcpStream, JoinHandle<()>)> = lock_recovering(&self.shared.conns)
+            .drain()
+            .map(|(_, conn)| conn)
+            .collect();
+        for (stream, _) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        let threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock_recovering(&self.shared.conn_threads));
-        for thread in threads {
+        for (_, thread) in conns {
             let _ = thread.join();
         }
     }
@@ -301,15 +308,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     let _ = error;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Listener failure: stop accepting; existing connections
-                // keep draining through their own threads.
-                return;
-            }
+            // Nothing pending, or a failure such as running out of
+            // descriptors that closing connections will cure: back off and
+            // retry. Only a drain or close ends the loop.
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
 }
@@ -321,18 +324,27 @@ fn spawn_connection(shared: &Arc<ServerShared>, stream: TcpStream) -> io::Result
     }
     let read_half = stream.try_clone()?;
     let write_half = stream.try_clone()?;
-    lock_recovering(&shared.conns).push(stream);
-    let (out_tx, out_rx) = mpsc::sync_channel::<Pending>(shared.config.max_pipelined.max(1));
+    let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let reader_shared = Arc::clone(shared);
+    // Held across the spawn, so the connection cannot remove its entry
+    // before the entry exists.
+    let mut conns = lock_recovering(&shared.conns);
     let reader = Builder::new()
         .name("bsom-serve-conn-reader".to_string())
-        .spawn(move || read_loop(read_half, reader_shared, out_tx))?;
-    let writer = Builder::new()
-        .name("bsom-serve-conn-writer".to_string())
-        .spawn(move || write_loop(write_half, out_rx))?;
-    let mut threads = lock_recovering(&shared.conn_threads);
-    threads.push(reader);
-    threads.push(writer);
+        .spawn(move || {
+            let (out_tx, out_rx) =
+                mpsc::sync_channel::<Pending>(reader_shared.config.max_pipelined.max(1));
+            let writer = Builder::new()
+                .name("bsom-serve-conn-writer".to_string())
+                .spawn(move || write_loop(write_half, out_rx));
+            // Without a writer thread the connection is dropped unserved.
+            if let Ok(writer) = writer {
+                read_loop(read_half, Arc::clone(&reader_shared), out_tx);
+                let _ = writer.join();
+            }
+            lock_recovering(&reader_shared.conns).remove(&id);
+        })?;
+    conns.insert(id, (stream, reader));
     Ok(())
 }
 
