@@ -13,7 +13,7 @@
 //!   thread hops.
 //! * **Small requests** on the paper-default map: single-signature requests
 //!   pipelined against (a) a scheduler pinned to batch-of-one dispatch and
-//!   (b) the adaptive micro-batching scheduler. The tracked ratio
+//!   (b) the default micro-batching scheduler. The tracked ratio
 //!   `speedup_microbatch_over_batch1` is what coalescing buys, and the p99
 //!   recorded next to it shows the latency price.
 //!
@@ -41,9 +41,9 @@ use crate::server::{ServeConfig, Server};
 /// Knobs for one serve-bench run.
 #[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
-    /// Measured window per leg. Clamped up to 300 ms: shorter windows do
-    /// not give the adaptive deadline time to settle, and the figures are
-    /// compared against full-run baselines.
+    /// Measured window per leg. Clamped up to 300 ms: shorter windows are
+    /// dominated by connection set-up and warm-up noise, and the figures
+    /// are compared against full-run baselines.
     pub min_duration: Duration,
     /// Seed for corpora, arrivals and map initialisation.
     pub seed: u64,
@@ -106,7 +106,7 @@ pub struct SmallMixFigures {
     pub in_flight_per_connection: usize,
     /// The batch-of-one control leg.
     pub batch1: ServeLeg,
-    /// The adaptive micro-batching leg.
+    /// The default micro-batching leg.
     pub microbatch: ServeLeg,
     /// Mean signatures per dispatched batch on the micro-batching leg.
     pub mean_batch_signatures: f64,

@@ -20,9 +20,9 @@
 //! `--spill-dir` when more than `--max-resident` tenants are resident.
 //!
 //! Flags of the other mode are rejected with exit code 2, never ignored:
-//! `--checkpoint`, `--batch-of-one`, `--max-batch`, `--max-delay-micros`
-//! and `--queue-capacity` apply only without `--tenants`; `--max-resident`,
-//! `--spill-dir` and `--tick-budget` only with it.
+//! `--checkpoint`, `--max-batch` and `--queue-capacity` apply only without
+//! `--tenants`; `--max-resident`, `--spill-dir` and `--tick-budget` only
+//! with it.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -47,9 +47,7 @@ struct Args {
     labels: usize,
     seed: u64,
     max_batch_signatures: usize,
-    max_delay_micros: u64,
     queue_capacity: usize,
-    batch_of_one: bool,
     tenants: usize,
     max_resident: usize,
     spill_dir: Option<String>,
@@ -67,9 +65,7 @@ impl Args {
             labels: 4,
             seed: 42,
             max_batch_signatures: 256,
-            max_delay_micros: 1000,
             queue_capacity: 1024,
-            batch_of_one: false,
             tenants: 0,
             max_resident: 0,
             spill_dir: None,
@@ -80,17 +76,11 @@ impl Args {
 
 const USAGE: &str = "usage: bsom-serve [--addr HOST:PORT] [--addr-file PATH] \
 [--checkpoint PATH] [--neurons N] [--vector-len BITS] [--labels N] [--seed N] \
-[--max-batch SIGS] [--max-delay-micros N] [--queue-capacity N] [--batch-of-one] \
+[--max-batch SIGS] [--queue-capacity N] \
 [--tenants N] [--max-resident N] [--spill-dir PATH] [--tick-budget STEPS]";
 
 /// Flags that configure the single-map server (no `--tenants`).
-const SINGLE_MAP_FLAGS: [&str; 5] = [
-    "--checkpoint",
-    "--batch-of-one",
-    "--max-batch",
-    "--max-delay-micros",
-    "--queue-capacity",
-];
+const SINGLE_MAP_FLAGS: [&str; 3] = ["--checkpoint", "--max-batch", "--queue-capacity"];
 
 /// Flags that configure the registry server (`--tenants N`, N > 0).
 const REGISTRY_FLAGS: [&str; 3] = ["--max-resident", "--spill-dir", "--tick-budget"];
@@ -113,9 +103,7 @@ fn parse_args() -> Result<Args, String> {
             "--labels" => args.labels = parse(&value("--labels")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--max-batch" => args.max_batch_signatures = parse(&value("--max-batch")?)?,
-            "--max-delay-micros" => args.max_delay_micros = parse(&value("--max-delay-micros")?)?,
             "--queue-capacity" => args.queue_capacity = parse(&value("--queue-capacity")?)?,
-            "--batch-of-one" => args.batch_of_one = true,
             "--tenants" => args.tenants = parse(&value("--tenants")?)?,
             "--max-resident" => args.max_resident = parse(&value("--max-resident")?)?,
             "--spill-dir" => args.spill_dir = Some(value("--spill-dir")?),
@@ -317,15 +305,9 @@ fn main() -> ExitCode {
         }
     });
 
-    let scheduler = if args.batch_of_one {
-        SchedulerConfig::batch_of_one()
-    } else {
-        SchedulerConfig {
-            max_batch_signatures: args.max_batch_signatures,
-            max_delay: Duration::from_micros(args.max_delay_micros),
-            queue_capacity: args.queue_capacity,
-            ..SchedulerConfig::default()
-        }
+    let scheduler = SchedulerConfig {
+        max_batch_signatures: args.max_batch_signatures,
+        queue_capacity: args.queue_capacity,
     };
     let server = match Server::bind(
         service,

@@ -10,10 +10,11 @@
 //!   checkpoint frames use too. Malformed input is
 //!   rejected as a typed [`WireError`], never a panic —
 //!   proptested by `tests/wire_corruption.rs`.
-//! * [`scheduler`] — the adaptive micro-batching scheduler: pipelined small
-//!   requests coalesce into one `classify_batch` up to a latency deadline
-//!   that adapts to observed queue depth, with two-stage admission control
-//!   surfacing as typed `Overloaded` responses.
+//! * [`scheduler`] — the work-conserving micro-batching scheduler: a
+//!   request that finds the engine idle dispatches at once, and requests
+//!   that arrive while a batch runs coalesce into the next
+//!   `classify_batch`, with two-stage admission control surfacing as typed
+//!   `Overloaded` responses.
 //! * [`server`] — the `std::net` listener, per-connection reader/writer
 //!   threads (responses strictly in request order, so clients may
 //!   pipeline), the wire health endpoint, and graceful drain with an

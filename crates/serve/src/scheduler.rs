@@ -1,33 +1,24 @@
-//! The adaptive micro-batching scheduler.
+//! The work-conserving micro-batching scheduler.
 //!
 //! Small classify requests are cheap to compute and expensive to dispatch:
 //! every batch pays one worker-pool round trip regardless of size. The
-//! scheduler amortizes that fixed cost the way the paper's FPGA comparator
-//! pipeline amortizes per-frame overheads — requests arriving close together
-//! coalesce into **one** `classify_batch` call.
+//! scheduler amortizes that fixed cost without ever waiting for it: a
+//! request that finds the engine idle is dispatched at once, the way the
+//! paper's FPGA comparator starts on a pattern as soon as it arrives, and
+//! requests that arrive while a batch runs coalesce into the **next**
+//! `classify_batch` call.
 //!
-//! The state machine (documented in DESIGN.md §"The serving front-end"):
+//! The loop (documented in DESIGN.md §"The serving front-end"):
 //!
-//! 1. **Idle** — block on the pending queue. The first request opens a batch
-//!    and starts a deadline `now + delay`.
-//! 2. **Collecting** — greedily drain the queue into the batch; once the
-//!    queue is momentarily empty, sleep until the next arrival or the
-//!    deadline, whichever is first.
-//! 3. **Dispatch** — triggered by *size* (the batch reached
-//!    [`SchedulerConfig::max_batch_signatures`]), by *deadline*, or by a
-//!    *drain* sentinel. The whole batch goes through one
-//!    [`Recognizer::try_classify_batch`]; per-request spans of the result
-//!    vector are sent back in request order, bit-identical to what each
-//!    request would have received alone (the winner search is
-//!    deterministic and the whole batch sees one snapshot).
-//!
-//! After every dispatch the coalescing `delay` **adapts to observed queue
-//! depth**: a backlog at or above [`SchedulerConfig::high_watermark`] means
-//! the queue itself provides coalescing and waiting only adds latency, so
-//! the delay halves (down to zero — pure greedy batching). An empty queue
-//! after a deadline flush of an undersized batch means arrivals are sparse,
-//! so the delay doubles (up to [`SchedulerConfig::max_delay`]) to coalesce
-//! more of them.
+//! 1. Block on the pending queue for the first request.
+//! 2. Sweep whatever else is already queued, stopping at
+//!    [`SchedulerConfig::max_batch_signatures`] or at a drain sentinel.
+//!    The sweep never waits for more arrivals.
+//! 3. Dispatch the batch through one [`Recognizer::try_classify_batch`];
+//!    per-request spans of the result vector are sent back in request
+//!    order, bit-identical to what each request would have received alone
+//!    (the winner search is deterministic and the whole batch sees one
+//!    snapshot). Repeat.
 //!
 //! Admission control is two-staged, and both stages surface as a typed
 //! `Overloaded` wire response: the scheduler's own bounded pending queue
@@ -35,10 +26,9 @@
 //! sheds whole batches through [`EngineError::Overloaded`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
-use std::time::{Duration, Instant};
 
 use bsom_engine::{EngineError, Recognizer};
 use bsom_signature::BinaryVector;
@@ -47,39 +37,28 @@ use bsom_som::Prediction;
 /// Tuning knobs of the micro-batching scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Dispatch as soon as a batch holds this many signatures.
+    /// Largest batch, in signatures, one dispatch sweeps together.
     pub max_batch_signatures: usize,
-    /// Upper bound of the adaptive coalescing delay.
-    pub max_delay: Duration,
-    /// Starting value of the adaptive delay.
-    pub initial_delay: Duration,
     /// Bounded pending-queue capacity (in requests); submits beyond it shed.
     pub queue_capacity: usize,
-    /// Queue depth at or above which the delay halves after a dispatch.
-    pub high_watermark: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             max_batch_signatures: 256,
-            max_delay: Duration::from_millis(1),
-            initial_delay: Duration::from_micros(200),
             queue_capacity: 1024,
-            high_watermark: 4,
         }
     }
 }
 
 impl SchedulerConfig {
-    /// A scheduler that never coalesces: every request dispatches alone,
-    /// immediately. The control leg the `BENCH_serve.json` micro-batching
-    /// speedup is measured against.
+    /// A scheduler that never coalesces: every request dispatches alone.
+    /// The control leg the `BENCH_serve.json` micro-batching speedup is
+    /// measured against.
     pub fn batch_of_one() -> Self {
         SchedulerConfig {
             max_batch_signatures: 1,
-            max_delay: Duration::ZERO,
-            initial_delay: Duration::ZERO,
             ..SchedulerConfig::default()
         }
     }
@@ -141,7 +120,6 @@ struct StatsInner {
     requests_coalesced: AtomicU64,
     signatures_dispatched: AtomicU64,
     requests_shed: AtomicU64,
-    delay_micros: AtomicU64,
 }
 
 /// A point-in-time copy of the scheduler counters.
@@ -163,21 +141,14 @@ pub struct SchedulerSnapshot {
     pub signatures_dispatched: u64,
     /// Requests shed — at admission or by the engine queue.
     pub requests_shed: u64,
-    /// The adaptive coalescing delay right now, in microseconds.
+    /// Always 0: the scheduler never delays a dispatch. The field stays so
+    /// code that reads it keeps compiling.
     pub delay_micros: u64,
 }
 
 enum Control {
     Job(ClassifyJob),
     Drain(mpsc::Sender<()>),
-}
-
-/// Why a batch left the collecting state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushReason {
-    Size,
-    Deadline,
-    Drain,
 }
 
 /// Handle to a running micro-batching scheduler thread.
@@ -195,21 +166,14 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Spawns the scheduler thread around `classifier`.
     pub fn new<C: BatchClassify>(classifier: C, config: SchedulerConfig) -> Self {
-        let config = SchedulerConfig {
-            max_batch_signatures: config.max_batch_signatures.max(1),
-            queue_capacity: config.queue_capacity.max(1),
-            ..config
-        };
-        let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
+        let max_batch_signatures = config.max_batch_signatures.max(1);
+        let queue_capacity = config.queue_capacity.max(1);
+        let (tx, rx) = mpsc::sync_channel(queue_capacity);
         let stats = Arc::new(StatsInner::default());
-        stats
-            .delay_micros
-            .store(config.initial_delay.as_micros() as u64, Ordering::Relaxed);
-        let queue_capacity = config.queue_capacity;
         let loop_stats = Arc::clone(&stats);
         let thread = Builder::new()
             .name("bsom-serve-scheduler".to_string())
-            .spawn(move || run_scheduler(classifier, rx, loop_stats, config))
+            .spawn(move || run_scheduler(classifier, rx, loop_stats, max_batch_signatures))
             .expect("spawning the scheduler thread");
         MicroBatcher {
             tx,
@@ -223,14 +187,17 @@ impl MicroBatcher {
     /// bounded pending queue is full — the admission-control shed the caller
     /// turns into a typed `Overloaded` wire response.
     pub fn submit(&self, job: ClassifyJob) -> Result<(), ClassifyJob> {
+        // Count the job before it becomes visible: a scheduler parked in
+        // `recv` may take it, and decrement, before `try_send` returns.
+        self.stats.pending.fetch_add(1, Ordering::SeqCst);
         match self.tx.try_send(Control::Job(job)) {
             Ok(()) => {
-                self.stats.pending.fetch_add(1, Ordering::SeqCst);
                 self.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(TrySendError::Full(Control::Job(job)))
             | Err(TrySendError::Disconnected(Control::Job(job))) => {
+                self.stats.pending.fetch_sub(1, Ordering::SeqCst);
                 self.stats.requests_shed.fetch_add(1, Ordering::Relaxed);
                 Err(job)
             }
@@ -260,7 +227,13 @@ impl MicroBatcher {
     /// The current counters.
     pub fn snapshot(&self) -> SchedulerSnapshot {
         SchedulerSnapshot {
-            pending: self.stats.pending.load(Ordering::SeqCst),
+            // Submitters count a job just before offering it to the full
+            // queue that rejects it, so the raw gauge can briefly overshoot.
+            pending: self
+                .stats
+                .pending
+                .load(Ordering::SeqCst)
+                .min(self.queue_capacity),
             queue_capacity: self.queue_capacity,
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             requests_dispatched: self.stats.requests_dispatched.load(Ordering::SeqCst),
@@ -268,7 +241,7 @@ impl MicroBatcher {
             requests_coalesced: self.stats.requests_coalesced.load(Ordering::Relaxed),
             signatures_dispatched: self.stats.signatures_dispatched.load(Ordering::Relaxed),
             requests_shed: self.stats.requests_shed.load(Ordering::Relaxed),
-            delay_micros: self.stats.delay_micros.load(Ordering::Relaxed),
+            delay_micros: 0,
         }
     }
 }
@@ -282,38 +255,6 @@ impl Drop for MicroBatcher {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-    }
-}
-
-/// The delay adaptation rule, pure so the unit suite can pin its behavior.
-fn adapt_delay(
-    delay: Duration,
-    reason: FlushReason,
-    pending_after: usize,
-    batch_signatures: usize,
-    config: &SchedulerConfig,
-) -> Duration {
-    let step = (config.max_delay / 32).max(Duration::from_micros(25));
-    match reason {
-        // A drain is not a traffic signal.
-        FlushReason::Drain => delay,
-        // Backlogged: the queue coalesces by itself; waiting only adds
-        // latency. Halve toward pure greedy batching.
-        _ if pending_after >= config.high_watermark => {
-            if delay <= Duration::from_micros(2) {
-                Duration::ZERO
-            } else {
-                delay / 2
-            }
-        }
-        // Sparse: the deadline expired on an undersized batch and nothing
-        // is waiting. Lengthen to coalesce more arrivals.
-        FlushReason::Deadline
-            if pending_after == 0 && batch_signatures * 2 < config.max_batch_signatures =>
-        {
-            (delay * 2).max(step).min(config.max_delay)
-        }
-        _ => delay,
     }
 }
 
@@ -374,94 +315,40 @@ fn run_scheduler<C: BatchClassify>(
     mut classifier: C,
     rx: Receiver<Control>,
     stats: Arc<StatsInner>,
-    config: SchedulerConfig,
+    max_batch_signatures: usize,
 ) {
-    let mut delay = config.initial_delay.min(config.max_delay);
-    loop {
-        let first = match rx.recv() {
-            Ok(Control::Drain(ack)) => {
-                // Nothing pending ahead of the sentinel: ack and idle on.
+    while let Ok(control) = rx.recv() {
+        let first = match control {
+            Control::Job(job) => job,
+            // Nothing pending ahead of the sentinel: ack and idle on.
+            Control::Drain(ack) => {
                 let _ = ack.send(());
                 continue;
             }
-            Ok(Control::Job(job)) => job,
-            Err(_) => return,
         };
         stats.pending.fetch_sub(1, Ordering::SeqCst);
+        let mut total = first.signatures.len();
         let mut jobs = vec![first];
-        let mut total = jobs[0].signatures.len();
-        let deadline = Instant::now() + delay;
-        let mut drain_acks: Vec<mpsc::Sender<()>> = Vec::new();
-        let mut disconnected = false;
-        let mut reason = FlushReason::Size;
-        'collect: while total < config.max_batch_signatures {
-            // Greedy sweep: take whatever is already queued.
-            loop {
-                match rx.try_recv() {
-                    Ok(Control::Job(job)) => {
-                        stats.pending.fetch_sub(1, Ordering::SeqCst);
-                        total += job.signatures.len();
-                        jobs.push(job);
-                        if total >= config.max_batch_signatures {
-                            break 'collect;
-                        }
-                    }
-                    Ok(Control::Drain(ack)) => {
-                        drain_acks.push(ack);
-                        reason = FlushReason::Drain;
-                        break 'collect;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break 'collect;
-                    }
-                }
-            }
-            // Queue momentarily empty: wait for the next arrival or the
-            // deadline.
-            let now = Instant::now();
-            if now >= deadline {
-                reason = FlushReason::Deadline;
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
+        let mut drain_ack = None;
+        // Sweep what is already queued; never wait for more. A closed and
+        // empty queue ends the sweep too, and the next `recv` ends the loop.
+        while total < max_batch_signatures {
+            match rx.try_recv() {
                 Ok(Control::Job(job)) => {
                     stats.pending.fetch_sub(1, Ordering::SeqCst);
                     total += job.signatures.len();
                     jobs.push(job);
                 }
                 Ok(Control::Drain(ack)) => {
-                    drain_acks.push(ack);
-                    reason = FlushReason::Drain;
+                    drain_ack = Some(ack);
                     break;
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    reason = FlushReason::Deadline;
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Err(_) => break,
             }
         }
         dispatch(&mut classifier, jobs, &stats);
-        for ack in drain_acks {
+        if let Some(ack) = drain_ack {
             let _ = ack.send(());
-        }
-        delay = adapt_delay(
-            delay,
-            reason,
-            stats.pending.load(Ordering::SeqCst),
-            total,
-            &config,
-        );
-        stats
-            .delay_micros
-            .store(delay.as_micros() as u64, Ordering::Relaxed);
-        if disconnected {
-            return;
         }
     }
 }
@@ -469,56 +356,54 @@ fn run_scheduler<C: BatchClassify>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
-    fn config() -> SchedulerConfig {
-        SchedulerConfig {
-            max_batch_signatures: 64,
-            max_delay: Duration::from_millis(1),
-            initial_delay: Duration::from_micros(200),
-            queue_capacity: 8,
-            high_watermark: 4,
+    /// Answers every signature `Unknown` at once.
+    struct Unknowns;
+
+    impl BatchClassify for Unknowns {
+        fn try_classify(
+            &mut self,
+            signatures: Vec<BinaryVector>,
+        ) -> Result<Vec<Prediction>, EngineError> {
+            Ok(vec![Prediction::Unknown; signatures.len()])
         }
     }
 
     #[test]
-    fn backlog_halves_the_delay_down_to_zero() {
-        let cfg = config();
-        let mut delay = Duration::from_micros(200);
-        for _ in 0..16 {
-            delay = adapt_delay(delay, FlushReason::Size, 8, 64, &cfg);
+    fn pending_gauge_never_exceeds_the_queue_capacity() {
+        let batcher = Arc::new(MicroBatcher::new(
+            Unknowns,
+            SchedulerConfig {
+                queue_capacity: 4,
+                ..SchedulerConfig::default()
+            },
+        ));
+        let done = Arc::new(AtomicBool::new(false));
+        let sampler = {
+            let (batcher, done) = (Arc::clone(&batcher), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut worst = 0;
+                while !done.load(Ordering::Relaxed) {
+                    worst = worst.max(batcher.snapshot().pending);
+                }
+                worst
+            })
+        };
+        // Lone jobs: each waits for its reply, so the scheduler is parked in
+        // `recv` whenever the next one is offered.
+        for _ in 0..20_000 {
+            let (reply, answer) = mpsc::channel();
+            let job = ClassifyJob {
+                signatures: vec![BinaryVector::zeros(8)],
+                reply,
+            };
+            assert!(batcher.submit(job).is_ok());
+            assert!(matches!(answer.recv(), Ok(BatchReply::Predictions(_))));
         }
-        assert_eq!(
-            delay,
-            Duration::ZERO,
-            "a sustained backlog must reach greedy batching"
-        );
-    }
-
-    #[test]
-    fn sparse_deadline_flushes_double_the_delay_up_to_the_cap() {
-        let cfg = config();
-        let mut delay = Duration::ZERO;
-        for _ in 0..16 {
-            delay = adapt_delay(delay, FlushReason::Deadline, 0, 1, &cfg);
-        }
-        assert_eq!(
-            delay, cfg.max_delay,
-            "sparse traffic must grow the delay to the cap"
-        );
-    }
-
-    #[test]
-    fn full_or_busy_flushes_leave_the_delay_alone() {
-        let cfg = config();
-        let delay = Duration::from_micros(100);
-        // Size flush with a quiet queue: the batch filled naturally.
-        assert_eq!(adapt_delay(delay, FlushReason::Size, 0, 64, &cfg), delay);
-        // Deadline flush of a nearly-full batch: not sparse.
-        assert_eq!(
-            adapt_delay(delay, FlushReason::Deadline, 0, 63, &cfg),
-            delay
-        );
-        // Drain is not a traffic signal.
-        assert_eq!(adapt_delay(delay, FlushReason::Drain, 0, 1, &cfg), delay);
+        done.store(true, Ordering::Relaxed);
+        let worst = sampler.join().expect("sampler thread");
+        assert!(worst <= 4, "pending gauge read {worst} against capacity 4");
+        assert_eq!(batcher.snapshot().pending, 0);
     }
 }

@@ -376,7 +376,7 @@ fn build_health(shared: &ServerShared) -> WireHealth {
         requests_coalesced: scheduler.requests_coalesced,
         signatures_dispatched: scheduler.signatures_dispatched,
         requests_shed: scheduler.requests_shed,
-        coalesce_delay_micros: scheduler.delay_micros,
+        coalesce_delay_micros: 0,
         draining: shared.draining.load(Ordering::SeqCst),
         last_panic: service.last_panic,
     }

@@ -224,7 +224,9 @@ pub struct WireHealth {
     pub signatures_dispatched: u64,
     /// Requests shed with an `Overloaded` response.
     pub requests_shed: u64,
-    /// The scheduler's current adaptive coalescing delay, in microseconds.
+    /// Always 0: the scheduler dispatches as soon as the engine is free and
+    /// never delays a batch. The slot keeps the health frame layout and the
+    /// wire format number unchanged.
     pub coalesce_delay_micros: u64,
     /// Whether the server is draining.
     pub draining: bool,

@@ -55,40 +55,37 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
         .map(|(v, _)| service.classify_pinned(&snapshot, std::slice::from_ref(v))[0])
         .collect();
 
-    // A long deadline parks every pipelined request in the scheduler's
-    // collection window, so the drain's flush — not normal dispatch — is
-    // what answers them.
-    let server = Server::bind(
-        service,
-        "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig {
-                initial_delay: Duration::from_secs(5),
-                max_delay: Duration::from_secs(5),
-                ..SchedulerConfig::default()
-            },
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("bind loopback");
+    let server =
+        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
 
+    // Park the engine on the first request, so every later request waits
+    // in the scheduler queue and the drain's flush — not normal dispatch —
+    // is what answers them.
+    let parked = hit_count("worker.job");
+    arm_sleep("worker.job", parked, Duration::from_secs(2));
     let (mut send, mut recv) = ServeClient::connect(server.local_addr())
         .expect("connect")
         .split();
-    for (signature, _) in &corpus {
+    let mut signatures = corpus.iter().map(|(signature, _)| signature);
+    send.send_classify(std::slice::from_ref(
+        signatures.next().expect("a first signature"),
+    ))
+    .expect("send");
+    while hit_count("worker.job") == parked {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for signature in signatures {
         send.send_classify(std::slice::from_ref(signature))
             .expect("pipelined send");
     }
     // Let the reader thread admit everything into the scheduler before the
-    // drain flips the accepting flag (`pending` empties as jobs move into
-    // the collection window; `submitted` counts admissions).
+    // drain flips the accepting flag (`submitted` counts admissions).
     while (server.scheduler_snapshot().submitted as usize) < corpus.len() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Arm the engine worker to panic on its very next job: with every
-    // request parked behind the 5s deadline, that next job IS the drain's
+    // Arm the engine worker to panic on its next job: with every later
+    // request queued behind the parked one, that next job IS the drain's
     // in-flight flush — the panic lands mid-drain.
     arm_panic("worker.job", hit_count("worker.job"));
     let summary = server.drain();

@@ -1,5 +1,5 @@
-//! `bsom-serve` rejects flags that do not apply to its mode with exit code 2
-//! instead of parsing and then ignoring them.
+//! `bsom-serve` rejects flags that do not apply to its mode, and flags it no
+//! longer has, with exit code 2 instead of parsing and then ignoring them.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -42,4 +42,13 @@ fn flags_of_the_other_mode_are_rejected() {
         "--spill-dir needs --tenants"
     );
     assert!(!scratch.exists(), "a rejected run creates nothing");
+}
+
+#[test]
+fn retired_scheduler_flags_are_rejected() {
+    // The scheduler dispatches as soon as the engine is free, so there is
+    // no coalescing delay to tune, and `--max-batch 1` already means one
+    // request per dispatch.
+    assert_eq!(exit_code(&["--max-delay-micros", "0"]), Some(2));
+    assert_eq!(exit_code(&["--batch-of-one"]), Some(2));
 }

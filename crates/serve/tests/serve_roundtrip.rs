@@ -1,12 +1,13 @@
 //! End-to-end behaviour of the serving front-end: wire answers are
-//! bit-identical to in-process answers, pipelined small requests coalesce
-//! into single engine batches, overload is a typed response (and the
-//! service recovers), and drain/health behave as documented.
+//! bit-identical to in-process answers, small requests queued behind a
+//! running batch coalesce into the next engine batch, overload is a typed
+//! response (and the service recovers), and drain/health behave as
+//! documented.
 
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bsom_engine::EngineError;
+use bsom_engine::{EngineError, Recognizer};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
 use bsom_serve::scheduler::{BatchClassify, ClassifyJob, MicroBatcher};
 use bsom_serve::wire::{self, ErrorCode, WireMessage};
@@ -62,80 +63,127 @@ fn wire_classification_matches_in_process_bit_for_bit() {
     server.join();
 }
 
+/// A `Recognizer` the test can hold busy: every dispatch reports its batch
+/// size on `batches`, then blocks until the gate lets it through, so the
+/// scheduler queue can be filled deterministically behind it.
+struct GatedRecognizer {
+    recognizer: Recognizer,
+    gate: mpsc::Receiver<()>,
+    batches: mpsc::Sender<usize>,
+}
+
+impl BatchClassify for GatedRecognizer {
+    fn try_classify(
+        &mut self,
+        signatures: Vec<BinaryVector>,
+    ) -> Result<Vec<Prediction>, EngineError> {
+        let _ = self.batches.send(signatures.len());
+        let _ = self.gate.recv();
+        self.recognizer.try_classify_batch(signatures)
+    }
+}
+
+/// A scheduler over a frozen map behind a [`GatedRecognizer`]. Returns the
+/// batcher, the gate, the dispatched batch sizes, an ungated recognizer of
+/// the same map, and the trainer that keeps the map alive.
+fn gated_batcher(
+    scheduler: SchedulerConfig,
+) -> (
+    MicroBatcher,
+    mpsc::Sender<()>,
+    mpsc::Receiver<usize>,
+    Recognizer,
+    bsom_engine::Trainer,
+) {
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let (service, trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    let (gate_tx, gate) = mpsc::channel();
+    let (batches, batches_rx) = mpsc::channel();
+    let gated = GatedRecognizer {
+        recognizer: service.recognizer(),
+        gate,
+        batches,
+    };
+    let batcher = MicroBatcher::new(gated, scheduler);
+    (batcher, gate_tx, batches_rx, service.recognizer(), trainer)
+}
+
+fn submit_singleton(
+    batcher: &MicroBatcher,
+    signature: &BinaryVector,
+) -> mpsc::Receiver<BatchReply> {
+    let (reply, answer) = mpsc::channel();
+    let job = ClassifyJob {
+        signatures: vec![signature.clone()],
+        reply,
+    };
+    assert!(batcher.submit(job).is_ok(), "the queue has room");
+    answer
+}
+
 #[test]
 fn pipelined_singletons_coalesce_into_one_engine_batch() {
-    // A long deadline guarantees every pipelined singleton lands in the
-    // scheduler's first collection window: N requests, one engine batch.
-    let scheduler = SchedulerConfig {
-        initial_delay: Duration::from_millis(300),
-        max_delay: Duration::from_millis(300),
-        ..SchedulerConfig::default()
-    };
-    let (server, mut recognizer, _trainer) = frozen_server(scheduler);
+    // The scheduler never waits for company: the first singleton finds the
+    // engine idle and dispatches alone. The other 15 arrive while the gate
+    // holds that batch, and share the next one.
+    let (batcher, gate, batches, mut recognizer, _trainer) =
+        gated_batcher(SchedulerConfig::default());
     let signatures = probes(16, 23);
     let direct = recognizer.classify_batch(signatures.clone());
 
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    for signature in &signatures {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("pipelined send");
+    let mut replies = vec![submit_singleton(&batcher, &signatures[0])];
+    assert_eq!(batches.recv().expect("first dispatch"), 1);
+    for signature in &signatures[1..] {
+        replies.push(submit_singleton(&batcher, signature));
     }
+    gate.send(()).expect("release the first batch");
+    assert_eq!(batches.recv().expect("second dispatch"), 15);
+    gate.send(()).expect("release the second batch");
     let mut answers = Vec::new();
-    for _ in 0..signatures.len() {
-        match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { predictions } => {
+    for reply in replies {
+        match reply.recv().expect("reply") {
+            BatchReply::Predictions(predictions) => {
                 assert_eq!(predictions.len(), 1);
                 answers.push(predictions[0]);
             }
-            other => panic!("expected classify response, got {other:?}"),
+            other => panic!("expected predictions, got {other:?}"),
         }
     }
-    // Responses come back in request order and match the direct batch.
+    // Replies come back in request order and match the direct batch.
     assert_eq!(answers, direct);
 
-    let stats = server.scheduler_snapshot();
+    let stats = batcher.snapshot();
     assert_eq!(stats.requests_dispatched, 16);
     assert_eq!(
-        stats.batches_dispatched, 1,
-        "16 pipelined singletons must coalesce into one engine batch: {stats:?}"
+        stats.batches_dispatched, 2,
+        "15 singletons queued behind a busy engine must share one batch: {stats:?}"
     );
-    assert_eq!(stats.requests_coalesced, 16, "all 16 shared the batch");
-    server.join();
+    assert_eq!(stats.requests_coalesced, 15, "all 15 shared the batch");
 }
 
 #[test]
 fn size_flush_fires_before_the_deadline() {
-    // With a 5-second deadline but a 4-signature batch cap, a burst of 8
-    // singletons must flush on size (twice), not wait out the deadline.
-    let scheduler = SchedulerConfig {
+    // 8 singletons held behind a busy engine, with a 4-signature batch cap:
+    // the backlog leaves in batches of at most 4, never as one batch of 8.
+    let (batcher, gate, batches, _recognizer, _trainer) = gated_batcher(SchedulerConfig {
         max_batch_signatures: 4,
-        initial_delay: Duration::from_secs(5),
-        max_delay: Duration::from_secs(5),
         ..SchedulerConfig::default()
-    };
-    let (server, _recognizer, _trainer) = frozen_server(scheduler);
-    let signatures = probes(8, 31);
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    let started = Instant::now();
-    for signature in &signatures {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("send");
+    });
+    let signatures = probes(9, 31);
+    let mut replies = vec![submit_singleton(&batcher, &signatures[0])];
+    assert_eq!(batches.recv().expect("first dispatch"), 1);
+    for signature in &signatures[1..] {
+        replies.push(submit_singleton(&batcher, signature));
     }
-    for _ in 0..signatures.len() {
-        let message = recv.recv().expect("response").expect("not EOF");
-        assert!(matches!(message, WireMessage::ClassifyResponse { .. }));
+    for _ in 0..3 {
+        gate.send(()).expect("release a batch");
     }
-    assert!(
-        started.elapsed() < Duration::from_secs(2),
-        "size flush must beat the 5s deadline (took {:?})",
-        started.elapsed()
-    );
-    assert!(server.scheduler_snapshot().batches_dispatched >= 2);
-    server.join();
+    let sizes: Vec<usize> = (0..2).map(|_| batches.recv().expect("dispatch")).collect();
+    assert_eq!(sizes, [4, 4], "the held backlog splits at the cap");
+    for reply in replies {
+        assert!(matches!(reply.recv(), Ok(BatchReply::Predictions(_))));
+    }
+    assert_eq!(batcher.snapshot().batches_dispatched, 3);
 }
 
 /// A classifier the test can wedge: blocks inside `try_classify` until the
@@ -161,8 +209,6 @@ fn admission_control_sheds_when_full_and_recovers() {
         GatedClassifier { gate: gate_rx },
         SchedulerConfig {
             queue_capacity: 2,
-            initial_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
             ..SchedulerConfig::default()
         },
     );
