@@ -22,7 +22,8 @@
 //!
 //! `--check` turns the reporter into a **regression gate**: instead of only
 //! writing fresh files, it also loads the committed baselines and fails when
-//! any measured figure falls below `baseline × (1 − band)`. Improvements
+//! any measured figure falls below `baseline × (1 − band)`, or when either
+//! side of a figure is not a finite positive number. Improvements
 //! beyond `baseline × (1 + band)` are reported as a prompt to re-baseline
 //! (re-run without `--smoke` and commit the refreshed files) but do not
 //! fail, since a faster machine or build must never break CI. Absolute
@@ -192,11 +193,23 @@ fn fmt_figure(value: f64) -> String {
 }
 
 /// Compares every figure against its baseline within the noise band.
-/// Returns the number of regressions (each printed as it is found).
+/// Returns the number of regressions (each printed as it is found). A
+/// figure that is not a finite positive number on either side cannot be
+/// judged, so it counts as a regression rather than passing unchecked.
 fn check_figures(figures: &[CheckedFigure], band: f64) -> usize {
     let mut regressions = 0usize;
     for figure in figures {
-        let ratio = figure.fresh / figure.baseline.max(f64::MIN_POSITIVE);
+        let judgeable = |value: f64| value.is_finite() && value > 0.0;
+        if !judgeable(figure.baseline) || !judgeable(figure.fresh) {
+            regressions += 1;
+            eprintln!(
+                "bench_report: REGRESSION {}: cannot judge {} against the committed {} \
+                 (both must be finite and positive)",
+                figure.name, figure.fresh, figure.baseline
+            );
+            continue;
+        }
+        let ratio = figure.fresh / figure.baseline;
         if ratio < 1.0 - band {
             regressions += 1;
             eprintln!(
@@ -820,4 +833,32 @@ fn main() -> ExitCode {
         println!("bench_report: wrote {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn figure(baseline: f64, fresh: f64) -> CheckedFigure {
+        CheckedFigure {
+            name: "test.figure",
+            baseline,
+            fresh,
+        }
+    }
+
+    #[test]
+    fn zero_baseline_is_a_regression() {
+        assert_eq!(check_figures(&[figure(0.0, 100.0)], 0.25), 1);
+    }
+
+    #[test]
+    fn nan_fresh_value_is_a_regression() {
+        assert_eq!(check_figures(&[figure(100.0, f64::NAN)], 0.25), 1);
+    }
+
+    #[test]
+    fn in_band_pair_passes() {
+        assert_eq!(check_figures(&[figure(100.0, 90.0)], 0.25), 0);
+    }
 }

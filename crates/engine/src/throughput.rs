@@ -539,11 +539,11 @@ mod tests {
 
     // Wall-clock assertion: sound in release on an idle machine, but timing
     // noise under a loaded CI runner (or the dev profile) can flip it with no
-    // code defect, so it is opt-in. `benches/engine_batch.rs` measures the
-    // same claim on every bench run; run this directly with
-    // `cargo test -p bsom-engine --release -- --ignored`.
+    // code defect, so it is opt-in. `bench_report --check` gates the same
+    // claim as `recognition.batched signatures/s` in BENCH_recognition.json;
+    // run this directly with `cargo test -p bsom-engine --release -- --ignored`.
     #[test]
-    #[ignore = "wall-clock perf assertion; covered by the engine_batch bench"]
+    #[ignore = "wall-clock perf assertion; gated by bench_report as recognition.batched signatures/s"]
     fn batched_layout_beats_the_scalar_loop_on_the_paper_configuration() {
         // The acceptance-criterion micro-check: 40 neurons x 768 bits, the
         // plane-sliced search must not be slower than the per-neuron loop.

@@ -5,8 +5,8 @@
 //! [`compare_training_throughput`] measures the plane-sliced window path
 //! [`SelfOrganizingMap::train_step`] against the bit-serial reference
 //! ([`bsom_som::reference::train_step_bit_serial`]) under identical seeds and
-//! data — the numbers `BENCH_train.json` and the `train_throughput` /
-//! `neighbourhood_update` benches track across changes.
+//! data — the numbers `bench_report` records in `BENCH_train.json` and
+//! gates across changes.
 
 use std::time::Duration;
 
@@ -312,10 +312,11 @@ mod tests {
 
     // Wall-clock assertion: sound in release on an idle machine but noisy on
     // a loaded CI runner or under the dev profile, so opt-in, mirroring the
-    // recognition-side policy. Run with
+    // recognition-side policy. `bench_report --check` gates the same claim
+    // as `train.window/bit_serial speedup` in BENCH_train.json. Run with
     // `cargo test -p bsom-engine --release -- --ignored`.
     #[test]
-    #[ignore = "wall-clock perf assertion; covered by the train_throughput bench"]
+    #[ignore = "wall-clock perf assertion; gated by bench_report as train.window/bit_serial speedup"]
     fn word_parallel_trainer_is_at_least_5x_the_bit_serial_baseline() {
         let mut r = rng();
         let data: Vec<BinaryVector> = (0..32).map(|_| BinaryVector::random(768, &mut r)).collect();

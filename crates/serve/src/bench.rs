@@ -2,7 +2,7 @@
 //!
 //! Two workloads, both served over loopback TCP **while a [`Trainer`] on
 //! another thread keeps feeding and publishing snapshots** (the train-while-
-//! serve contract the engine benches pin in-process):
+//! serve contract the engine's tests pin in-process):
 //!
 //! * **Large batches** on a scale-out map (512 neurons x 768 bits, where
 //!   the winner search dominates the wire cost): closed-loop throughput over
@@ -127,8 +127,8 @@ pub struct ServeBenchReport {
 }
 
 /// A synthetic labelled corpus: one random prototype per label, examples a
-/// few bit-flips away — the same shape the engine benches train on, without
-/// pulling the dataset crate into the serving stack.
+/// few bit-flips away — the same shape the engine's throughput comparisons
+/// train on, without pulling the dataset crate into the serving stack.
 pub fn synthetic_corpus(
     vector_len: usize,
     labels: usize,
@@ -326,7 +326,7 @@ pub fn measure_serve(config: &ServeBenchConfig) -> ServeBenchReport {
     batch1_server.drain();
     batch1_server.join();
 
-    // Adaptive micro-batching, same offered pressure.
+    // Work-conserving micro-batching, same offered pressure.
     let micro_server = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",

@@ -272,7 +272,7 @@ impl Server {
         }
         // Half-close every connection: readers see EOF and exit, writers
         // first flush whatever responses are still queued (in-flight batches
-        // resolve by deadline), then exit.
+        // resolve as soon as the engine finishes them), then exit.
         let conns: Vec<(TcpStream, JoinHandle<()>)> = lock_recovering(&self.shared.conns)
             .drain()
             .map(|(_, conn)| conn)

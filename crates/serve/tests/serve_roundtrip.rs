@@ -162,7 +162,7 @@ fn pipelined_singletons_coalesce_into_one_engine_batch() {
 }
 
 #[test]
-fn size_flush_fires_before_the_deadline() {
+fn held_backlog_splits_at_the_batch_cap() {
     // 8 singletons held behind a busy engine, with a 4-signature batch cap:
     // the backlog leaves in batches of at most 4, never as one batch of 8.
     let (batcher, gate, batches, _recognizer, _trainer) = gated_batcher(SchedulerConfig {

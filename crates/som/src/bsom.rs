@@ -86,7 +86,7 @@ pub enum NeighbourRule {
     /// neighbours a smaller learning rate. Kept for the update-rule ablation.
     RelaxOnly,
     /// Neighbours are not updated at all (winner-take-all learning). The
-    /// ablation benches show this collapses onto a single over-general
+    /// update-rule ablation shows this collapses onto a single over-general
     /// neuron; it exists to demonstrate that the neighbourhood block matters.
     WinnerOnly,
 }
@@ -142,8 +142,8 @@ impl BSomConfig {
     }
 
     /// Overrides the stochastic update probabilities (relax, commit). Pass
-    /// `(1.0, 1.0)` for the undamped tri-state rule used by the ablation
-    /// benches.
+    /// `(1.0, 1.0)` for the undamped tri-state rule used by the update-rule
+    /// ablation.
     ///
     /// # Panics
     ///

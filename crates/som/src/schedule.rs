@@ -5,7 +5,7 @@
 //! progresses — with a budget of 100 iterations, iterations 1–25 use radius
 //! 4, 26–50 use 3, 51–75 use 2 and 76–100 use 1. [`NeighbourhoodSchedule`]
 //! generalises that quarter-wise policy to any budget and maximum radius, and
-//! also provides a linear-decay alternative used by the ablation benches.
+//! also provides a linear-decay alternative.
 
 use serde::{Deserialize, Serialize};
 
